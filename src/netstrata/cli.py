@@ -14,26 +14,28 @@ import click
 
 from . import analysis, consistency, faults, model_io, multiplex
 from .model import ComponentId, Mode, ModelError, MultilayerNetwork, build_network
-from .model_io import ModelDocument, ModelParseError, REPORT_VERSION
+from .model_io import ModelDocument, ModelParseError, ModelSyntaxError, REPORT_VERSION
+
+
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelSyntaxError(f"not UTF-8 text ({exc.reason})", f"byte {exc.start}")
 
 
 def _load(path: str, mode: str | None) -> ModelDocument:
     """Parse a model file; an explicit --mode (or NETSTRATA_MODE) overrides
     the mode declared in the file."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    try:
-        doc = model_io.parse_model(text)
+        doc = model_io.parse_model(_read(path))
         if mode is not None and Mode(mode) is not doc.network.mode:
             network = build_network(
                 doc.network.layers, doc.network.cross_layers, Mode(mode)
             )
             doc = ModelDocument(doc.format_version, network, doc.scenarios)
         return doc
-    except (ModelParseError, ModelError) as exc:
+    except (OSError, ModelParseError, ModelError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
 

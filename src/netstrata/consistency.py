@@ -14,7 +14,6 @@ from enum import Enum
 from typing import Mapping
 
 from . import multiplex
-from .graphutil import component_labels
 from .model import ComponentId, Link, Mode, MultilayerNetwork
 
 
@@ -113,26 +112,19 @@ def check_path_consistency(network: MultilayerNetwork) -> list[Violation]:
     connected within the layer below; checking links suffices because upper
     multi-hop paths concatenate from supported links."""
     out: list[Violation] = []
-    for cross in network.cross_layers:
-        alpha = cross.upper_index
-        upper = network.layer(alpha)
-        lower = network.layer(alpha - 1)
-        labels = component_labels(lower.component_names, lower.links)
-        for a, b in upper.links:
-            sup_a = cross.supporters_by_upper.get(a, ())
-            sup_b = cross.supporters_by_upper.get(b, ())
-            comps_a = {labels[s] for s in sup_a}
-            comps_b = {labels[s] for s in sup_b}
-            if not (comps_a & comps_b):
-                out.append(
-                    Violation(
-                        ViolationKind.PATH_INCONSISTENCY,
-                        alpha,
-                        (a, b),
-                        f"link ({a}, {b}) on layer {alpha} has no supporter pair "
-                        f"connected within layer {alpha - 1}",
-                    )
+    for layer, sub in zip(network.layers[1:], network.substrate[1:]):
+        alpha = layer.index
+        for j in sub.unsupported:
+            a, b = layer.links[j]
+            out.append(
+                Violation(
+                    ViolationKind.PATH_INCONSISTENCY,
+                    alpha,
+                    (a, b),
+                    f"link ({a}, {b}) on layer {alpha} has no supporter pair "
+                    f"connected within layer {alpha - 1}",
                 )
+            )
     return sorted(out, key=Violation.sort_key)
 
 

@@ -8,14 +8,15 @@ connected in the layer below. Propagation iterates to a fixed point.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .graphutil import component_labels
+from .graphutil import int_component_labels
 from .model import (
     ComponentId,
-    Layer,
     LayerRole,
+    LayerSubstrate,
     Link,
     MultilayerNetwork,
     canonical_link,
@@ -75,133 +76,138 @@ class CascadeResult:
 
 
 def _check_scenario(network: MultilayerNetwork, scenario: FaultScenario) -> None:
+    substrate, tables = network.substrate, network.cascade_tables
     for node in scenario.failed_nodes:
-        try:
-            layer = network.layer(node.layer_index)
-        except KeyError:
+        if not 1 <= node.layer_index <= len(substrate):
             raise UnknownScenarioElement(f"no layer {node.layer_index} for node {node}")
-        if node.local_name not in layer.component_names:
+        if node.local_name not in substrate[node.layer_index - 1].index:
             raise UnknownScenarioElement(f"unknown component {node}")
     for idx, link in scenario.failed_links:
-        try:
-            layer = network.layer(idx)
-        except KeyError:
+        if not 1 <= idx <= len(tables):
             raise UnknownScenarioElement(f"no layer {idx} for link {link}")
-        if link not in set(layer.links):
+        if link not in tables[idx - 1].link_id:
             raise UnknownScenarioElement(f"unknown link {link} on layer {idx}")
 
 
-def _active_lower_state(
-    layer: Layer,
-    failed: frozenset[ComponentId],
-    inactive: frozenset[LinkRef],
-) -> dict[str, int]:
-    """Component labels of a layer restricted to survivors and active links."""
-    survivors = [
-        n for n in layer.component_names
-        if ComponentId(layer.index, n) not in failed
-    ]
-    active = [
-        (a, b)
-        for a, b in layer.links
-        if (layer.index, (a, b)) not in inactive
-        and ComponentId(layer.index, a) not in failed
-        and ComponentId(layer.index, b) not in failed
-    ]
-    return component_labels(survivors, active)
+def _labels(sub: LayerSubstrate, failed: bytearray, inactive: bytearray) -> list[int]:
+    """Component labels of a layer restricted to survivors and active links;
+    failed nodes get -1."""
+    return int_component_labels(
+        len(failed),
+        [
+            (a, b)
+            for j, (a, b) in enumerate(sub.links)
+            if not inactive[j] and not failed[a] and not failed[b]
+        ],
+        failed,
+    )
 
 
 def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeResult:
     """Propagate an injected fault set upward to its fixed point.
 
     Each round re-evaluates both rules against the state at the start of the
-    round; bottom-layer elements fail only by injection. The recorded rounds
-    exclude the injection itself.
+    round (Jacobi rounds); bottom-layer elements fail only by injection. The
+    recorded rounds exclude the injection itself.
+
+    That state only grows, so a rule whose inputs did not change in the
+    previous round cannot newly fire: each round checks only the dependents
+    of newly failed nodes, the links incident to them, and every link of a
+    layer whose layer below changed. The injection is the change before
+    round 1, which also inactivates the links unsupported with nothing
+    failed, since removing elements never connects anything.
     """
     _check_scenario(network, scenario)
-    failed = frozenset(scenario.failed_nodes)
-    inactive = frozenset(scenario.failed_links)
+    substrate, tables = network.substrate, network.cascade_tables
+    depth = len(substrate)
+    failed = [bytearray(len(sub.index)) for sub in substrate]
+    inactive = [bytearray(len(sub.links)) for sub in substrate]
+    new_nodes: list[set[int]] = [set() for _ in substrate]
+    changed = [False] * depth
+    for node in scenario.failed_nodes:
+        k = node.layer_index - 1
+        i = substrate[k].index[node.local_name]
+        failed[k][i] = 1
+        new_nodes[k].add(i)
+        changed[k] = True
+    for idx, link in scenario.failed_links:
+        inactive[idx - 1][tables[idx - 1].link_id[link]] = 1
+        changed[idx - 1] = True
     rounds: list[CascadeRound] = []
 
     while True:
-        new_failed: set[ComponentId] = set()
-        new_inactive: set[LinkRef] = set()
+        round_nodes: list[set[int]] = [set() for _ in substrate]
+        for k in range(1, depth):
+            up_failed, low_failed = failed[k], failed[k - 1]
+            supporters = substrate[k].supporters
+            for i in new_nodes[k - 1]:
+                for d in substrate[k - 1].dependents[i]:
+                    if not up_failed[d] and all(low_failed[s] for s in supporters[d]):
+                        round_nodes[k].add(d)
 
-        for cross in network.cross_layers:
-            alpha = cross.upper_index
-            upper = network.layer(alpha)
-            for name, sups in cross.supporters_by_upper.items():
-                node = ComponentId(alpha, name)
-                if node in failed:
-                    continue
-                if all(ComponentId(alpha - 1, s) in failed for s in sups):
-                    new_failed.add(node)
+        round_links: list[set[int]] = []
+        for k, sub in enumerate(substrate):
+            dead = inactive[k]
+            hit = {j for i in new_nodes[k] for j in sub.incident[i] if not dead[j]}
+            if k and changed[k - 1]:
+                below = _labels(substrate[k - 1], failed[k - 1], inactive[k - 1])
+                supporters = sub.supporters
+                for j, (a, b) in enumerate(sub.links):
+                    if dead[j] or j in hit:
+                        continue
+                    comps_a = {below[s] for s in supporters[a] if below[s] >= 0}
+                    if comps_a.isdisjoint([below[s] for s in supporters[b]]):
+                        hit.add(j)
+            elif k and not rounds:
+                hit.update(j for j in sub.unsupported if not dead[j])
+            round_links.append(hit)
 
-        lower_labels: dict[int, dict[str, int]] = {}
-        for layer in network.layers:
-            for a, b in layer.links:
-                ref: LinkRef = (layer.index, (a, b))
-                if ref in inactive:
-                    continue
-                if (
-                    ComponentId(layer.index, a) in failed
-                    or ComponentId(layer.index, b) in failed
-                ):
-                    new_inactive.add(ref)
-                    continue
-                if layer.index == 1:
-                    continue
-                if layer.index not in lower_labels:
-                    lower_labels[layer.index] = _active_lower_state(
-                        network.layer(layer.index - 1), failed, inactive
-                    )
-                labels = lower_labels[layer.index]
-                cross = network.cross_layer(layer.index)
-                comps_a = {
-                    labels[s]
-                    for s in cross.supporters_by_upper.get(a, ())
-                    if s in labels
-                }
-                comps_b = {
-                    labels[s]
-                    for s in cross.supporters_by_upper.get(b, ())
-                    if s in labels
-                }
-                if not (comps_a & comps_b):
-                    new_inactive.add(ref)
-
-        if not new_failed and not new_inactive:
+        if not any(round_nodes) and not any(round_links):
             break
-        rounds.append(CascadeRound(frozenset(new_failed), frozenset(new_inactive)))
-        failed |= new_failed
-        inactive |= new_inactive
+        for k in range(depth):
+            for i in round_nodes[k]:
+                failed[k][i] = 1
+            for j in round_links[k]:
+                inactive[k][j] = 1
+            changed[k] = bool(round_nodes[k] or round_links[k])
+        new_nodes = round_nodes
+        rounds.append(
+            CascadeRound(
+                frozenset(
+                    t.node_ids[i] for t, ids in zip(tables, round_nodes) for i in ids
+                ),
+                frozenset(
+                    t.link_refs[j] for t, ids in zip(tables, round_links) for j in ids
+                ),
+            )
+        )
 
     survival: dict[int, float] = {}
     largest_fraction: dict[int, float] = {}
-    functional_alive = True
-    has_functional = any(l.role is LayerRole.FUNCTIONAL for l in network.layers)
-    if has_functional:
-        functional_alive = False
-    for layer in network.layers:
+    functional_alive = not any(l.role is LayerRole.FUNCTIONAL for l in network.layers)
+    for k, layer in enumerate(network.layers):
         total = len(layer.components)
-        labels = _active_lower_state(layer, failed, inactive)
-        survivors = len(labels)
-        survival[layer.index] = survivors / total
-        if survivors:
-            sizes: dict[int, int] = {}
-            for lab in labels.values():
-                sizes[lab] = sizes.get(lab, 0) + 1
-            largest_fraction[layer.index] = max(sizes.values()) / survivors
+        survivors = total - failed[k].count(1)
+        if survivors == total and 1 not in inactive[k]:
+            largest = tables[k].largest_component
         else:
-            largest_fraction[layer.index] = 0.0
+            labels = _labels(substrate[k], failed[k], inactive[k])
+            sizes = Counter(label for label in labels if label >= 0)
+            largest = max(sizes.values(), default=0)
+        survival[layer.index] = survivors / total
+        largest_fraction[layer.index] = largest / survivors if survivors else 0.0
         if layer.role is LayerRole.FUNCTIONAL and survivors:
             functional_alive = True
 
     return CascadeResult(
         scenario=scenario,
         rounds=tuple(rounds),
-        final_failed_nodes=failed,
-        final_inactive_links=inactive,
+        final_failed_nodes=frozenset(scenario.failed_nodes).union(
+            *(r.failed_nodes for r in rounds)
+        ),
+        final_inactive_links=frozenset(scenario.failed_links).union(
+            *(r.inactive_links for r in rounds)
+        ),
         per_layer_survival=survival,
         per_layer_largest_component_fraction=largest_fraction,
         functional_alive=functional_alive,

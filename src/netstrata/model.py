@@ -8,10 +8,13 @@ structurally equal networks compare equal with `==`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
+
+from .graphutil import int_component_labels
 
 
 class ModelError(ValueError):
@@ -229,6 +232,31 @@ class FlatGraph:
 
 
 @dataclass(frozen=True)
+class LayerSubstrate:
+    """Integer-indexed view of one layer: node `i` is `Layer.components[i]`
+    and link `j` is `Layer.links[j]`. Built once and never mutated."""
+
+    index: Mapping[str, int]
+    links: tuple[tuple[int, int], ...]
+    incident: Sequence[Sequence[int]]  # link ids per node
+    supporters: Sequence[Sequence[int]]  # node ids one layer below
+    dependents: Sequence[Sequence[int]]  # node ids one layer above
+    labels: Sequence[int]  # component labels with nothing failed
+    unsupported: Sequence[int]  # links with no supporter pair connected below
+
+
+@dataclass(frozen=True)
+class CascadeTables:
+    """Per-layer tables only the fault cascade needs: the API-edge identity
+    of every node and link id, and the baseline largest component size."""
+
+    node_ids: tuple[ComponentId, ...]
+    link_refs: tuple[tuple[int, Link], ...]
+    link_id: Mapping[Link, int]
+    largest_component: int
+
+
+@dataclass(frozen=True)
 class MultilayerNetwork:
     """Validated, immutable multilayer model. Build via `build_network`."""
 
@@ -240,6 +268,25 @@ class MultilayerNetwork:
     @property
     def depth(self) -> int:
         return len(self.layers)
+
+    @cached_property
+    def substrate(self) -> tuple[LayerSubstrate, ...]:
+        """The network compiled once into integer tables, bottom layer first."""
+        return _compile_substrate(self)
+
+    @cached_property
+    def cascade_tables(self) -> tuple[CascadeTables, ...]:
+        """Tables only the fault cascade reads, kept apart from `substrate` so
+        that validation never builds them."""
+        return tuple(
+            CascadeTables(
+                node_ids=tuple(layer.component_id(c.name) for c in layer.components),
+                link_refs=tuple((layer.index, link) for link in layer.links),
+                link_id={link: j for j, link in enumerate(layer.links)},
+                largest_component=max(Counter(sub.labels).values()),
+            )
+            for layer, sub in zip(self.layers, self.substrate)
+        )
 
     def layer(self, index: int) -> Layer:
         if not 1 <= index <= len(self.layers):
@@ -277,6 +324,49 @@ class MultilayerNetwork:
                     )
                 )
         return FlatGraph(frozenset(vertices), frozenset(edges))
+
+
+def _compile_substrate(network: MultilayerNetwork) -> tuple[LayerSubstrate, ...]:
+    indices = [
+        {c.name: i for i, c in enumerate(layer.components)} for layer in network.layers
+    ]
+    supporters: list[list[list[int]]] = [[[] for _ in ix] for ix in indices]
+    dependents: list[list[list[int]]] = [[[] for _ in ix] for ix in indices]
+    for cross in network.cross_layers:
+        k = cross.upper_index - 1
+        upper_ix, lower_ix = indices[k], indices[k - 1]
+        for up, low in cross.projections:
+            u, l = upper_ix[up], lower_ix[low]
+            supporters[k][u].append(l)
+            dependents[k - 1][l].append(u)
+
+    out: list[LayerSubstrate] = []
+    for k, layer in enumerate(network.layers):
+        index = indices[k]
+        links = tuple((index[a], index[b]) for a, b in layer.links)
+        incident: list[list[int]] = [[] for _ in index]
+        for j, (a, b) in enumerate(links):
+            incident[a].append(j)
+            incident[b].append(j)
+        unsupported: list[int] = []
+        if k:
+            below = out[k - 1].labels
+            sup = supporters[k]
+            for j, (a, b) in enumerate(links):
+                if {below[s] for s in sup[a]}.isdisjoint([below[s] for s in sup[b]]):
+                    unsupported.append(j)
+        out.append(
+            LayerSubstrate(
+                index=index,
+                links=links,
+                incident=incident,
+                supporters=supporters[k],
+                dependents=dependents[k],
+                labels=int_component_labels(len(index), links),
+                unsupported=unsupported,
+            )
+        )
+    return tuple(out)
 
 
 def _check_layer(layer: Layer, mode: Mode, warnings: list[str]) -> None:

@@ -225,6 +225,8 @@ def parse_model(text: str) -> ModelDocument:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelSyntaxError(exc.msg, f"line {exc.lineno}, column {exc.colno}")
+    except RecursionError:
+        raise ModelSyntaxError("arrays or objects nested too deeply", "$")
 
     _closed(
         data,

@@ -198,3 +198,111 @@ def oracle_cascade(network: MultilayerNetwork, failed_nodes, failed_links):
                     changed = True
         if not changed:
             return frozenset(failed), frozenset(inactive)
+
+
+def _bf_labels(nodes, links):
+    return {
+        n: label
+        for label, comp in enumerate(bf_components(nodes, links))
+        for n in comp
+    }
+
+
+def oracle_cascade_rounds(network: MultilayerNetwork, scenario):
+    """Round-by-round reference cascade: every round sweeps every rule of
+    every layer against the state at the start of the round (Jacobi rounds),
+    relabelling the layer below from scratch for each upper layer."""
+    from netstrata.faults import CascadeResult, CascadeRound, UnknownScenarioElement
+    from netstrata.model import LayerRole
+
+    for node in scenario.failed_nodes:
+        if not 1 <= node.layer_index <= network.depth:
+            raise UnknownScenarioElement(f"no layer {node.layer_index}")
+        if node.local_name not in network.layer(node.layer_index).component_names:
+            raise UnknownScenarioElement(f"unknown component {node}")
+    for idx, link in scenario.failed_links:
+        if not 1 <= idx <= network.depth or link not in network.layer(idx).links:
+            raise UnknownScenarioElement(f"unknown link {link} on layer {idx}")
+
+    def surviving_labels(layer, failed, inactive):
+        survivors = [
+            n for n in layer.component_names
+            if ComponentId(layer.index, n) not in failed
+        ]
+        active = [
+            (a, b)
+            for a, b in layer.links
+            if (layer.index, (a, b)) not in inactive
+            and ComponentId(layer.index, a) not in failed
+            and ComponentId(layer.index, b) not in failed
+        ]
+        return _bf_labels(survivors, active)
+
+    failed = frozenset(scenario.failed_nodes)
+    inactive = frozenset(scenario.failed_links)
+    rounds = []
+    while True:
+        new_failed = set()
+        new_inactive = set()
+        for cross in network.cross_layers:
+            alpha = cross.upper_index
+            for name, sups in cross.supporters_by_upper.items():
+                node = ComponentId(alpha, name)
+                if node not in failed and all(
+                    ComponentId(alpha - 1, s) in failed for s in sups
+                ):
+                    new_failed.add(node)
+        for layer in network.layers:
+            labels = None
+            for a, b in layer.links:
+                ref = (layer.index, (a, b))
+                if ref in inactive:
+                    continue
+                if (
+                    ComponentId(layer.index, a) in failed
+                    or ComponentId(layer.index, b) in failed
+                ):
+                    new_inactive.add(ref)
+                    continue
+                if layer.index == 1:
+                    continue
+                if labels is None:
+                    labels = surviving_labels(
+                        network.layer(layer.index - 1), failed, inactive
+                    )
+                sups = network.cross_layer(layer.index).supporters_by_upper
+                comps_a = {labels[s] for s in sups.get(a, ()) if s in labels}
+                comps_b = {labels[s] for s in sups.get(b, ()) if s in labels}
+                if not (comps_a & comps_b):
+                    new_inactive.add(ref)
+        if not new_failed and not new_inactive:
+            break
+        rounds.append(CascadeRound(frozenset(new_failed), frozenset(new_inactive)))
+        failed |= new_failed
+        inactive |= new_inactive
+
+    survival = {}
+    largest_fraction = {}
+    functional_alive = not any(l.role is LayerRole.FUNCTIONAL for l in network.layers)
+    for layer in network.layers:
+        labels = surviving_labels(layer, failed, inactive)
+        survivors = len(labels)
+        survival[layer.index] = survivors / len(layer.components)
+        if survivors:
+            sizes = {}
+            for lab in labels.values():
+                sizes[lab] = sizes.get(lab, 0) + 1
+            largest_fraction[layer.index] = max(sizes.values()) / survivors
+        else:
+            largest_fraction[layer.index] = 0.0
+        if layer.role is LayerRole.FUNCTIONAL and survivors:
+            functional_alive = True
+    return CascadeResult(
+        scenario=scenario,
+        rounds=tuple(rounds),
+        final_failed_nodes=failed,
+        final_inactive_links=inactive,
+        per_layer_survival=survival,
+        per_layer_largest_component_fraction=largest_fraction,
+        functional_alive=functional_alive,
+    )

@@ -176,3 +176,21 @@ def test_commands_are_deterministic(runner):
     a = runner.invoke(main, ["validate", fx("basic_stack.mln.json"), "--format", "machine"])
     b = runner.invoke(main, ["validate", fx("basic_stack.mln.json"), "--format", "machine"])
     assert a.output == b.output
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"format_version": "1", "layers": ["\xff\xfe"]}',
+        b"[" * 100_000 + b"]" * 100_000,
+    ],
+    ids=["non-utf8", "deep-nesting"],
+)
+def test_unreadable_document_exits_2(runner, tmp_path, content):
+    doc = tmp_path / "bad.mln.json"
+    doc.write_bytes(content)
+    result = runner.invoke(main, ["validate", str(doc)])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -12,6 +12,7 @@ from netstrata.faults import (
 )
 from netstrata.generators import random_network
 from netstrata.model import ComponentId, ComponentKind, CrossLayer, LayerRole, Mode, build_network
+from netstrata.model_io import emit_report
 
 from . import oracles
 from .conftest import comp, layer
@@ -140,6 +141,71 @@ def test_cascade_matches_naive_oracle(seed):
     assert len(result.rounds) <= sum(len(l.components) for l in net.layers) + sum(
         len(l.links) for l in net.layers
     )
+
+
+@given(seed=st.integers(0, 50_000), consistent=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_cascade_rounds_match_round_oracle(seed, consistent):
+    rng = random.Random(seed)
+    net = random_network(rng, max_nodes=16, consistent=consistent)
+    nodes = [ComponentId(l.index, c.name) for l in net.layers for c in l.components]
+    links = [(l.index, link) for l in net.layers for link in l.links]
+    scenario = FaultScenario.of(
+        rng.sample(nodes, rng.randint(0, min(4, len(nodes)))),
+        rng.sample(links, rng.randint(0, min(3, len(links)))),
+        label="random",
+    )
+    result = run_cascade(net, scenario)
+    expected = oracles.oracle_cascade_rounds(net, scenario)
+    assert result == expected
+    assert emit_report(result, "machine") == emit_report(expected, "machine")
+
+
+def fragile_network(rng, depth=4, n=24):
+    """Functional stack of spanning trees plus a few links, mostly
+    single-homed, so single bottom faults cascade over several rounds."""
+    layers, crosses = [], []
+    for alpha in range(1, depth + 1):
+        names = [f"c{alpha}_{i}" for i in range(n)]
+        order = names[:]
+        rng.shuffle(order)
+        links = {tuple(sorted((order[i], order[rng.randrange(i)]))) for i in range(1, n)}
+        for _ in range(3):
+            links.add(tuple(sorted(rng.sample(names, 2))))
+        role = LayerRole.FUNCTIONAL if alpha == depth else LayerRole.CUSTOM
+        layers.append(layer(alpha, [comp(x) for x in names], links, role))
+        if alpha > 1:
+            below = [f"c{alpha - 1}_{i}" for i in range(n)]
+            crosses.append(
+                CrossLayer.of(
+                    alpha,
+                    [
+                        (up, low)
+                        for up in names
+                        for low in rng.sample(below, 1 if rng.random() < 0.8 else 2)
+                    ],
+                )
+            )
+    return build_network(layers, crosses, Mode.RELAXED)
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=10, deadline=None)
+def test_exhaustive_ranking_matches_round_oracle(seed):
+    net = fragile_network(random.Random(seed))
+    expected = sorted(
+        (
+            (
+                cid(1, c.name),
+                oracles.oracle_cascade_rounds(
+                    net, FaultScenario.of([cid(1, c.name)], label=f"fail {c.name}")
+                ),
+            )
+            for c in net.layer(1).components
+        ),
+        key=lambda p: (p[1].functional_alive, -p[1].total_failed, p[0].local_name),
+    )
+    assert [(e.node, e.result) for e in exhaustive_single_faults(net)] == expected
 
 
 @given(seed=st.integers(0, 20_000))

@@ -24,7 +24,9 @@ from netstrata.model import (
     build_network,
 )
 from netstrata.generators import random_network
+from netstrata.graphutil import component_labels
 
+from . import oracles
 from .conftest import comp, layer
 
 
@@ -204,3 +206,23 @@ def test_flatten_counts_match_unions(seed, consistent):
     assert len(flat.edges) == sum(len(l.links) for l in net.layers) + sum(
         len(c.projections) for c in net.cross_layers
     )
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_component_labels_partition_in_first_seen_order(seed):
+    rng = random.Random(seed)
+    nodes = [f"v{i}" for i in rng.sample(range(40), rng.randint(1, 20))]
+    links = [
+        tuple(rng.sample(nodes, 2)) for _ in range(rng.randint(0, 25)) if len(nodes) > 1
+    ]
+    labels = component_labels(nodes, links)
+    assert list(labels) == nodes
+    groups = {}
+    for n, lab in labels.items():
+        groups.setdefault(lab, set()).add(n)
+    assert sorted(map(sorted, groups.values())) == sorted(
+        map(sorted, oracles.bf_components(nodes, links))
+    )
+    first_seen = list(dict.fromkeys(labels.values()))
+    assert first_seen == list(range(len(groups)))
