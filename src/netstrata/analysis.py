@@ -8,13 +8,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-import networkx as nx
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
-
 from . import multiplex
+from .graphutil import int_component_labels
 from .model import Layer, Link, MultilayerNetwork
+
+# BFS sources per shortest_path call, so the diameter holds O(chunk * n) floats.
+_DIAMETER_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -32,48 +31,101 @@ class LayerMetrics:
     bridges: tuple[Link, ...]
 
 
-def _diameter(nodes: list[str], links: Iterable[Link]) -> int:
-    """Exact unweighted diameter; all-pairs BFS in compiled code."""
-    if len(nodes) <= 1:
-        return 0
-    index = {n: i for i, n in enumerate(nodes)}
-    rows, cols = [], []
-    for a, b in links:
-        rows += [index[a], index[b]]
-        cols += [index[b], index[a]]
-    mat = csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(len(nodes), len(nodes))
-    )
-    dist = shortest_path(mat, method="D", unweighted=True)
-    return int(dist[np.isfinite(dist)].max())
+def _diameter(n: int, pairs: list[tuple[int, int]], sources: list[int]) -> int:
+    """Largest finite BFS distance from `sources` in the graph `0..n-1`,
+    taken chunk by chunk in compiled code."""
+    # Only `metrics` needs scipy; importing it here keeps it out of other commands.
+    import numpy as np
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    rows = [a for a, _ in pairs] + [b for _, b in pairs]
+    cols = [b for _, b in pairs] + [a for a, _ in pairs]
+    mat = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    best = 0.0
+    for i in range(0, len(sources), _DIAMETER_CHUNK):
+        dist = shortest_path(
+            mat, method="D", unweighted=True, indices=sources[i : i + _DIAMETER_CHUNK]
+        )
+        best = max(best, dist.max(where=np.isfinite(dist), initial=0.0))
+    return int(best)
+
+
+def _cut_points(adj: list[list[int]]) -> tuple[set[int], list[tuple[int, int]]]:
+    """Articulation points and bridges `(low id, high id)` of a simple graph,
+    by one iterative lowlink DFS (Tarjan), so deep graphs need no recursion."""
+    disc = [-1] * len(adj)
+    low = [0] * len(adj)
+    cut: set[int] = set()
+    bridges: list[tuple[int, int]] = []
+    clock = 0
+    for root in range(len(adj)):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        root_children = 0
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, parent, todo = stack[-1]
+            for w in todo:
+                if disc[w] < 0:
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    stack.append((w, v, iter(adj[w])))
+                    break
+                if w != parent:
+                    low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if parent < 0:
+                    continue
+                low[parent] = min(low[parent], low[v])
+                if low[v] > disc[parent]:
+                    bridges.append((min(parent, v), max(parent, v)))
+                if parent == root:
+                    root_children += 1
+                elif low[v] >= disc[parent]:
+                    cut.add(parent)
+        if root_children > 1:
+            cut.add(root)
+    return cut, bridges
 
 
 def graph_metrics(nodes: Iterable[str], links: Iterable[Link]) -> LayerMetrics:
-    """Metrics of an undirected simple graph given by name lists."""
-    graph = nx.Graph()
-    graph.add_nodes_from(nodes)
-    graph.add_edges_from(links)
-    n = graph.number_of_nodes()
-    m = graph.number_of_edges()
+    """Metrics of an undirected simple graph given by name lists. When two
+    components tie for largest, the one holding the smallest name counts."""
+    names = sorted(set(nodes))
+    index = {name: i for i, name in enumerate(names)}
+    pairs = sorted(
+        {(min(i, j), max(i, j)) for i, j in ((index[a], index[b]) for a, b in links)}
+    )
+    n, m = len(names), len(pairs)
+    adj: list[list[int]] = [[] for _ in names]
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
 
-    degrees = [d for _, d in graph.degree()]
-    components = sorted(nx.connected_components(graph), key=len, reverse=True)
-    largest = components[0] if components else set()
-    sub_links = [
-        (a, b) for a, b in graph.edges() if a in largest and b in largest
-    ]
+    labels = int_component_labels(n, pairs)
+    sizes = Counter(labels)
+    # Labels follow each component's lowest id, i.e. its smallest name.
+    largest = min(sizes, key=lambda c: (-sizes[c], c), default=-1)
+    members = [i for i in range(n) if labels[i] == largest]
+    cut, bridges = _cut_points(adj)
     return LayerMetrics(
         node_count=n,
         link_count=m,
         density=(2.0 * m / (n * (n - 1))) if n >= 2 else 0.0,
-        degree_min=min(degrees) if degrees else 0,
+        degree_min=min(map(len, adj), default=0),
         degree_mean=(2.0 * m / n) if n else 0.0,
-        degree_max=max(degrees) if degrees else 0,
-        connected_components=len(components),
-        largest_component_fraction=(len(largest) / n) if n else 0.0,
-        diameter_of_largest_component=_diameter(sorted(largest), sub_links),
-        articulation_points=tuple(sorted(nx.articulation_points(graph))),
-        bridges=tuple(sorted(tuple(sorted(e)) for e in nx.bridges(graph))),
+        degree_max=max(map(len, adj), default=0),
+        connected_components=len(sizes),
+        largest_component_fraction=(len(members) / n) if n else 0.0,
+        diameter_of_largest_component=(
+            _diameter(n, pairs, members) if len(members) > 1 else 0
+        ),
+        articulation_points=tuple(names[i] for i in sorted(cut)),
+        bridges=tuple((names[a], names[b]) for a, b in sorted(bridges)),
     )
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import click
 
 from . import analysis, consistency, faults, model_io, multiplex
-from .model import ComponentId, Mode, ModelError, MultilayerNetwork, build_network
+from .model import ComponentId, Mode, ModelError, build_network
 from .model_io import ModelDocument, ModelParseError, ModelSyntaxError, REPORT_VERSION
 
 
@@ -119,7 +119,7 @@ def metrics(model: str, layer_index: int | None, mode: str | None, fmt: str) -> 
     click.echo(model_io.emit_report(bundle, fmt), nl=False)
 
 
-def _parse_node_spec(network: MultilayerNetwork, spec: str) -> ComponentId:
+def _parse_node_spec(spec: str) -> ComponentId:
     """'layer/name' or bare name (assumed bottom layer)."""
     if "/" in spec:
         raw_layer, name = spec.split("/", 1)
@@ -183,9 +183,7 @@ def simulate(
             scenario = doc.scenario(scenario_name)
         else:
             nodes = [
-                _parse_node_spec(doc.network, s)
-                for s in fail_spec.split(",")
-                if s.strip()
+                _parse_node_spec(s) for s in fail_spec.split(",") if s.strip()
             ]
             scenario = faults.FaultScenario.of(nodes, label=f"fail {fail_spec}")
         result = faults.run_cascade(doc.network, scenario)

@@ -47,12 +47,6 @@ class FaultScenario:
             label,
         )
 
-    def issubset(self, other: "FaultScenario") -> bool:
-        return (
-            self.failed_nodes <= other.failed_nodes
-            and self.failed_links <= other.failed_links
-        )
-
 
 @dataclass(frozen=True)
 class CascadeRound:

@@ -174,14 +174,6 @@ class Layer:
     def component_names(self) -> frozenset[str]:
         return frozenset(c.name for c in self.components)
 
-    @cached_property
-    def adjacency(self) -> dict[str, tuple[str, ...]]:
-        adj: dict[str, list[str]] = {c.name: [] for c in self.components}
-        for a, b in self.links:
-            adj[a].append(b)
-            adj[b].append(a)
-        return {n: tuple(ns) for n, ns in adj.items()}
-
     def component_id(self, name: str) -> ComponentId:
         return ComponentId(self.index, name)
 

@@ -73,8 +73,6 @@ class ModelDocument:
 
 
 def _expect(value: Any, typ: type, path: str, what: str) -> Any:
-    if typ is float and isinstance(value, int):
-        return float(value)
     if not isinstance(value, typ) or (typ is int and isinstance(value, bool)):
         raise ModelParseError(
             f"expected {what}, got {type(value).__name__}", path

@@ -84,7 +84,9 @@ def bf_bridges(nodes, links):
 
 
 def bf_diameter_of_largest(nodes, links):
-    comps = sorted(bf_components(nodes, links), key=len, reverse=True)
+    """Diameter of the largest component; a tie goes to the component holding
+    the smallest name."""
+    comps = sorted(bf_components(nodes, links), key=lambda c: (-len(c), min(c)))
     if not comps or len(comps[0]) <= 1:
         return 0
     comp = comps[0]

@@ -12,6 +12,7 @@ from netstrata.analysis import (
 )
 from netstrata.generators import random_layer, random_network
 from netstrata.model import CrossLayer, Mode, build_network
+from netstrata.multiplex import decompose_layer
 
 from . import oracles
 from .conftest import comp, layer
@@ -123,21 +124,44 @@ def test_layer_handshake(seed):
     assert degree_sum == 2 * m.link_count
 
 
-@given(seed=st.integers(0, 20_000))
+@given(seed=st.integers(0, 20_000), n_max=st.sampled_from([12, 40]))
 @settings(max_examples=60, deadline=None)
-def test_metrics_match_brute_force(seed):
-    l = random_layer(random.Random(seed), n_min=1, n_max=12)
+def test_metrics_match_brute_force(seed, n_max):
+    l = random_layer(random.Random(seed), n_min=1, n_max=n_max)
     nodes = sorted(l.component_names)
-    links = list(l.links)
-    m = layer_metrics(l)
-    comps = oracles.bf_components(nodes, links)
-    assert m.connected_components == len(comps)
-    assert m.largest_component_fraction == pytest.approx(
-        max(len(c) for c in comps) / len(nodes)
-    )
-    assert m.diameter_of_largest_component == oracles.bf_diameter_of_largest(nodes, links)
-    assert set(m.articulation_points) == oracles.bf_articulation_points(nodes, links)
-    assert set(m.bridges) == oracles.bf_bridges(nodes, links)
+    cases = [(layer_metrics(l), list(l.links))]
+    # sub-layers keep every node, so they bring isolated nodes and many components
+    subs = {sub.protocol: list(sub.links) for sub in decompose_layer(l)}
+    cases += [(m, subs[p]) for p, m in sublayer_metrics(l).items()]
+    for m, links in cases:
+        comps = oracles.bf_components(nodes, links)
+        assert m.connected_components == len(comps)
+        assert m.largest_component_fraction == pytest.approx(
+            max(len(c) for c in comps) / len(nodes)
+        )
+        assert m.diameter_of_largest_component == oracles.bf_diameter_of_largest(
+            nodes, links
+        )
+        assert set(m.articulation_points) == oracles.bf_articulation_points(nodes, links)
+        assert set(m.bridges) == oracles.bf_bridges(nodes, links)
+
+
+def test_largest_component_tie_goes_to_smallest_name():
+    # {a, b, c} is a path of diameter 2, {d, e, f} a triangle of diameter 1
+    links = [("a", "b"), ("b", "c"), ("d", "e"), ("e", "f"), ("d", "f")]
+    l = layer(1, [comp(x) for x in "abcdef"], links)
+    assert layer_metrics(l).diameter_of_largest_component == 2
+
+
+def test_long_path_needs_no_recursion():
+    n = 2000  # deeper than the default recursion limit
+    names = [f"v{i:04d}" for i in range(n)]
+    # both ends sort mid-way, so the diameter shows only from a middle chunk
+    path = names[n // 2 :] + names[: n // 2]
+    m = graph_metrics(names, list(zip(path, path[1:])))
+    assert len(m.articulation_points) == n - 2
+    assert len(m.bridges) == n - 1
+    assert m.diameter_of_largest_component == n - 1
 
 
 @given(seed=st.integers(0, 10_000))

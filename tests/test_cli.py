@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import netstrata
 from netstrata.cli import main
 
 from .conftest import FIXTURES
@@ -194,3 +199,19 @@ def test_unreadable_document_exits_2(runner, tmp_path, content):
     assert result.exception is None or isinstance(result.exception, SystemExit)
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_cli_import_leaves_out_numeric_packages():
+    code = (
+        "import sys, netstrata.cli; "
+        "print(sorted({'networkx', 'scipy', 'numpy'} & set(sys.modules)))"
+    )
+    src = str(Path(netstrata.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
