@@ -6,7 +6,6 @@ error. Diagnostics go to stderr; data goes to stdout.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -14,7 +13,7 @@ import click
 
 from . import analysis, consistency, faults, model_io, multiplex
 from .model import ComponentId, Mode, ModelError, build_network
-from .model_io import ModelDocument, ModelParseError, ModelSyntaxError, REPORT_VERSION
+from .model_io import ModelDocument, ModelParseError, ModelSyntaxError
 
 
 def _read(path: str) -> str:
@@ -156,26 +155,7 @@ def simulate(
 
     if exhaustive:
         ranking = faults.exhaustive_single_faults(doc.network)
-        if fmt == "machine":
-            payload = {
-                "report_version": REPORT_VERSION,
-                "kind": "campaign",
-                "entries": [
-                    {
-                        "node": str(e.node),
-                        "functional_alive": e.result.functional_alive,
-                        "failed_count": e.result.total_failed,
-                    }
-                    for e in ranking
-                ],
-            }
-            click.echo(json.dumps(payload, indent=2))
-        else:
-            for e in ranking:
-                state = "alive" if e.result.functional_alive else "DOWN"
-                click.echo(
-                    f"{e.node}: {e.result.total_failed} failed, functional {state}"
-                )
+        click.echo(model_io.emit_report(ranking, fmt), nl=False)
         return
 
     try:
@@ -210,7 +190,11 @@ def export(model: str, view: str, output: str | None, mode: str | None) -> None:
     if output is None:
         click.echo(dot, nl=False)
     else:
-        Path(output).write_text(dot)
+        try:
+            Path(output).write_text(dot)
+        except OSError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
 
 
 if __name__ == "__main__":

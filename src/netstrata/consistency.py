@@ -134,20 +134,16 @@ def classify_interlayer(network: MultilayerNetwork, upper_index: int) -> Interla
     by its endpoint degrees and both endpoints inherit them; a node collecting
     more than one distinct label is mixed."""
     cross = network.cross_layer(upper_index)
-    deg_up: dict[str, int] = {}
-    deg_low: dict[str, int] = {}
-    for up, low in cross.projections:
-        deg_up[up] = deg_up.get(up, 0) + 1
-        deg_low[low] = deg_low.get(low, 0) + 1
-
     labels: dict[ComponentId, set[NodeClass]] = {}
     for up, low in cross.projections:
+        deg_up = len(cross.supporters_by_upper[up])
+        deg_low = len(cross.dependents_by_lower[low])
         edge_labels: set[NodeClass] = set()
-        if deg_up[up] > 1:
+        if deg_up > 1:
             edge_labels.add(NodeClass.CLUSTERING)
-        if deg_low[low] > 1:
+        if deg_low > 1:
             edge_labels.add(NodeClass.VIRTUALIZATION_REPLICATION)
-        if deg_up[up] == 1 and deg_low[low] == 1:
+        if deg_up == 1 and deg_low == 1:
             edge_labels.add(NodeClass.DEDICATED)
         for node in (ComponentId(upper_index, up), ComponentId(upper_index - 1, low)):
             labels.setdefault(node, set()).update(edge_labels)

@@ -18,7 +18,12 @@ from .graphutil import int_component_labels
 
 
 class ModelError(ValueError):
-    """Structural problem detected while assembling a network."""
+    """Structural problem detected while assembling a network. `path` names
+    the offending input of `build_network`, e.g. `layers[0].links[3]`."""
+
+    def __init__(self, message: str, path: str = ""):
+        super().__init__(message)
+        self.path = path
 
 
 class EmptyLayerSet(ModelError):
@@ -173,6 +178,10 @@ class Layer:
     @cached_property
     def component_names(self) -> frozenset[str]:
         return frozenset(c.name for c in self.components)
+
+    @cached_property
+    def link_set(self) -> frozenset[Link]:
+        return frozenset(self.links)
 
     def component_id(self, name: str) -> ComponentId:
         return ComponentId(self.index, name)
@@ -361,79 +370,74 @@ def _compile_substrate(network: MultilayerNetwork) -> tuple[LayerSubstrate, ...]
     return tuple(out)
 
 
-def _check_layer(layer: Layer, mode: Mode, warnings: list[str]) -> None:
+def _check_layer(layer: Layer, path: str, mode: Mode, warnings: list[str]) -> Layer:
+    """Check one layer as given at `path`, then return it canonicalized."""
+    at = f"layer {layer.index}"
     if not layer.components:
-        raise EmptyLayerSet(f"layer {layer.index} has no components")
+        raise EmptyLayerSet(f"{at} has no components", f"{path}.components")
+    declared = set(layer.protocols)
     names: set[str] = set()
-    for comp in layer.components:
-        if not comp.name:
+    for j, comp in enumerate(layer.components):
+        name, where = comp.name, f"{path}.components[{j}]"
+        if not name:
             raise DuplicateComponentName(
-                f"layer {layer.index}: component name must be non-empty"
+                f"{at}: component name must be non-empty", f"{where}.name"
             )
-        if comp.name in names:
+        if "/" in name:
+            raise ModelError(f"{at}: component name {name!r} contains '/'", f"{where}.name")
+        if name in names:
             raise DuplicateComponentName(
-                f"layer {layer.index}: duplicate component name {comp.name!r}"
+                f"{at}: duplicate component name {name!r}", f"{where}.name"
             )
-        names.add(comp.name)
+        names.add(name)
         if not comp.spec.protocols:
             raise EmptySpecSet(
-                f"layer {layer.index}: component {comp.name!r} declares no protocols"
+                f"{at}: component {name!r} declares no protocols", f"{where}.protocols"
             )
-        undeclared = set(comp.protocols) - set(layer.protocols)
+        undeclared = set(comp.protocols) - declared
         if undeclared:
             raise UndeclaredProtocol(
-                f"layer {layer.index}: component {comp.name!r} uses protocols "
-                f"{sorted(undeclared)} missing from the layer protocol set"
+                f"{at}: component {name!r} uses protocols {sorted(undeclared)} missing from "
+                "the layer protocol set",
+                f"{where}.protocols",
             )
-    for a, b in layer.links:
+    for k, (a, b) in enumerate(layer.links):
         if a == b:
-            raise SelfLoopLink(f"layer {layer.index}: self-loop on {a!r}")
+            raise SelfLoopLink(f"{at}: self-loop on {a!r}", f"{path}.links[{k}]")
         for endpoint in (a, b):
             if endpoint not in names:
                 raise DanglingLinkEndpoint(
-                    f"layer {layer.index}: link ({a!r}, {b!r}) references "
-                    f"unknown component {endpoint!r}"
+                    f"{at}: link ({a!r}, {b!r}) references unknown component {endpoint!r}",
+                    f"{path}.links[{k}]",
                 )
     if not layer.links:
         if mode is Mode.STRICT:
-            raise EmptyEdgeSet(f"layer {layer.index} has no links (strict mode)")
-        warnings.append(f"layer {layer.index} has no links")
-    used = {p for c in layer.components for p in c.protocols}
-    unused = set(layer.protocols) - used
+            raise EmptyEdgeSet(f"{at} has no links (strict mode)", f"{path}.links")
+        warnings.append(f"{at} has no links")
+    unused = declared.difference(*(c.protocols for c in layer.components))
     if unused:
-        warnings.append(
-            f"layer {layer.index}: declared protocols {sorted(unused)} are "
-            "supported by no component"
-        )
+        warnings.append(f"{at}: declared protocols {sorted(unused)} are supported by no component")
+    return Layer.of(layer.index, layer.components, layer.links, layer.role, layer.protocols)
 
 
 def _check_cross_layer(
-    cross: CrossLayer,
-    upper: Layer,
-    lower: Layer,
-    mode: Mode,
-    warnings: list[str],
-) -> None:
+    cross: CrossLayer, path: str, upper: Layer, lower: Layer, mode: Mode, warnings: list[str]
+) -> CrossLayer:
+    """Check one cross-layer as given at `path`, then return it canonicalized."""
+    at = f"cross-layer {cross.upper_index}->{cross.upper_index - 1}"
     if not cross.projections:
         if mode is Mode.STRICT:
-            raise EmptyEdgeSet(
-                f"cross-layer {cross.upper_index}->{cross.upper_index - 1} has "
-                "no projections (strict mode)"
-            )
-        warnings.append(
-            f"cross-layer {cross.upper_index}->{cross.upper_index - 1} has no projections"
-        )
-    for up, low in cross.projections:
-        if up not in upper.component_names:
-            raise DanglingLinkEndpoint(
-                f"cross-layer {cross.upper_index}->{cross.upper_index - 1}: "
-                f"projection ({up!r}, {low!r}) references unknown upper component {up!r}"
-            )
-        if low not in lower.component_names:
-            raise DanglingLinkEndpoint(
-                f"cross-layer {cross.upper_index}->{cross.upper_index - 1}: "
-                f"projection ({up!r}, {low!r}) references unknown lower component {low!r}"
-            )
+            raise EmptyEdgeSet(f"{at} has no projections (strict mode)", f"{path}.projections")
+        warnings.append(f"{at} has no projections")
+    for k, (up, low) in enumerate(cross.projections):
+        for side, name, known in (("upper", up, upper), ("lower", low, lower)):
+            if name not in known.component_names:
+                raise DanglingLinkEndpoint(
+                    f"{at}: projection ({up!r}, {low!r}) references unknown {side} "
+                    f"component {name!r}",
+                    f"{path}.projections[{k}]",
+                )
+    return CrossLayer.of(cross.upper_index, cross.projections)
 
 
 def build_network(
@@ -443,45 +447,47 @@ def build_network(
 ) -> MultilayerNetwork:
     """Assemble and eagerly validate a multilayer network.
 
-    Inputs are canonicalized (sorted components, links, projections), so the
-    same model handed over in any order builds a structurally equal network.
+    Each input is checked as given, so the path of a `ModelError` indexes the
+    caller's sequences, and then canonicalized (sorted components, links,
+    projections): the same model handed over in any order builds a
+    structurally equal network.
     """
     mode = Mode(mode)
     if not layers:
-        raise EmptyLayerSet("a network needs at least one layer")
-    layers = tuple(
-        Layer.of(l.index, l.components, l.links, l.role, l.protocols)
-        for l in sorted(layers, key=lambda l: l.index)
-    )
-    indices = [l.index for l in layers]
+        raise EmptyLayerSet("a network needs at least one layer", "layers")
+    order = sorted(range(len(layers)), key=lambda i: layers[i].index)
+    indices = [layers[i].index for i in order]
     if indices != list(range(1, len(layers) + 1)):
-        raise LayerIndexGap(f"layer indices must be exactly 1..N, got {indices}")
+        raise LayerIndexGap(f"layer indices must be exactly 1..N, got {indices}", "layers")
 
     warnings: list[str] = []
-    for layer in layers:
-        _check_layer(layer, mode, warnings)
+    canonical = tuple(_check_layer(layers[i], f"layers[{i}]", mode, warnings) for i in order)
 
-    by_upper: dict[int, CrossLayer] = {}
-    for cross in cross_layers:
+    by_upper: dict[int, int] = {}
+    for j, cross in enumerate(cross_layers):
         if not 2 <= cross.upper_index <= len(layers):
             raise CrossLayerIndexMismatch(
-                f"cross-layer upper index {cross.upper_index} is outside 2..{len(layers)}"
+                f"cross-layer upper index {cross.upper_index} is outside 2..{len(layers)}",
+                f"cross_layers[{j}].upper_index",
             )
         if cross.upper_index in by_upper:
             raise CrossLayerIndexMismatch(
-                f"duplicate cross-layer for upper index {cross.upper_index}"
+                f"duplicate cross-layer for upper index {cross.upper_index}",
+                f"cross_layers[{j}].upper_index",
             )
-        by_upper[cross.upper_index] = CrossLayer.of(cross.upper_index, cross.projections)
+        by_upper[cross.upper_index] = j
     for alpha in range(2, len(layers) + 1):
         if alpha not in by_upper:
             raise MissingCrossLayer(
-                f"no cross-layer between layer {alpha} and layer {alpha - 1}"
+                f"no cross-layer between layer {alpha} and layer {alpha - 1}",
+                "cross_layers",
             )
-    ordered_cross = tuple(by_upper[a] for a in range(2, len(layers) + 1))
-    for cross in ordered_cross:
+    ordered_cross = tuple(
         _check_cross_layer(
-            cross, layers[cross.upper_index - 1], layers[cross.upper_index - 2],
-            mode, warnings,
+            cross_layers[by_upper[alpha]], f"cross_layers[{by_upper[alpha]}]",
+            canonical[alpha - 1], canonical[alpha - 2], mode, warnings,
         )
+        for alpha in range(2, len(layers) + 1)
+    )
 
-    return MultilayerNetwork(layers, ordered_cross, mode, tuple(warnings))
+    return MultilayerNetwork(canonical, ordered_cross, mode, tuple(warnings))

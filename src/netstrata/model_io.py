@@ -2,8 +2,9 @@
 
 Models live in a single JSON document (extension .mln.json) with a closed
 schema; serialization is canonical, so structurally equal models produce
-byte-identical files. Every rejection carries a position: line/column for
-malformed JSON, a JSON path for schema and reference errors.
+byte-identical files. Parsing checks only the document's shape; structural
+rules are `build_network`'s. Every rejection carries a position: line/column
+for malformed JSON, otherwise a JSON path to the offending element.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .model import (
     ComponentId,
     ComponentKind,
     CrossLayer,
+    DanglingLinkEndpoint,
     Layer,
     LayerRole,
     Mode,
@@ -72,11 +74,32 @@ class ModelDocument:
         raise KeyError(f"no scenario named {label!r}")
 
 
+class _RepeatedKey(dict):
+    """Stands in for a JSON object that repeats `key`; `_expect` rejects it
+    at the object's own path."""
+
+    def __init__(self, key: str):
+        super().__init__()
+        self.key = key
+
+
+def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """`object_pairs_hook`: the object, or a `_RepeatedKey` if a key repeats."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                return _RepeatedKey(key)
+            seen.add(key)
+    return obj
+
+
 def _expect(value: Any, typ: type, path: str, what: str) -> Any:
-    if not isinstance(value, typ) or (typ is int and isinstance(value, bool)):
-        raise ModelParseError(
-            f"expected {what}, got {type(value).__name__}", path
-        )
+    if type(value) is not typ:  # exact type: rejects bool for int, _RepeatedKey
+        if isinstance(value, _RepeatedKey):
+            raise ModelParseError(f"duplicate field {value.key!r}", path)
+        raise ModelParseError(f"expected {what}, got {type(value).__name__}", path)
     return value
 
 
@@ -121,6 +144,7 @@ def _parse_component(obj: Any, path: str) -> Component:
 
 
 def _parse_layer(obj: Any, index: int, path: str) -> Layer:
+    """The layer as written; `build_network` checks and canonicalizes it."""
     _closed(obj, {"role", "protocols", "components", "links"}, {"role", "components"}, path)
     role_raw = _expect(obj["role"], str, f"{path}.role", "a string")
     try:
@@ -128,57 +152,32 @@ def _parse_layer(obj: Any, index: int, path: str) -> Layer:
     except ValueError:
         raise ModelParseError(f"unknown layer role {role_raw!r}", f"{path}.role")
     comps_raw = _expect(obj["components"], list, f"{path}.components", "an array")
-    components = [
+    components = tuple(
         _parse_component(c, f"{path}.components[{i}]") for i, c in enumerate(comps_raw)
-    ]
-    names = {c.name for c in components}
-    links = []
-    for i, link_raw in enumerate(_expect(obj.get("links", []), list, f"{path}.links", "an array")):
-        a, b = _string_pair(link_raw, f"{path}.links[{i}]")
-        for endpoint in (a, b):
-            if endpoint not in names:
-                raise DanglingReferenceError(
-                    f"link endpoint {endpoint!r} is not a component of this layer",
-                    f"{path}.links[{i}]",
-                )
-        links.append((a, b))
-    protocols = None
+    )
+    links_raw = _expect(obj.get("links", []), list, f"{path}.links", "an array")
+    links = tuple(_string_pair(l, f"{path}.links[{i}]") for i, l in enumerate(links_raw))
     if "protocols" in obj:
         protocols = _expect(obj["protocols"], list, f"{path}.protocols", "an array")
         for i, p in enumerate(protocols):
             _expect(p, str, f"{path}.protocols[{i}]", "a string")
-    return Layer.of(index, components, links, role, protocols)
+    else:
+        protocols = {p for c in components for p in c.protocols}
+    return Layer(index, role, components, links, tuple(protocols))
 
 
-def _parse_cross_layer(obj: Any, layers: list[Layer], path: str) -> CrossLayer:
+def _parse_cross_layer(obj: Any, path: str) -> CrossLayer:
+    """The cross-layer as written; `build_network` checks and canonicalizes it."""
     _closed(obj, {"upper_index", "projections"}, {"upper_index", "projections"}, path)
     upper_index = _expect(obj["upper_index"], int, f"{path}.upper_index", "an integer")
-    if not 2 <= upper_index <= len(layers):
-        raise ModelParseError(
-            f"upper_index {upper_index} is outside 2..{len(layers)}",
-            f"{path}.upper_index",
-        )
-    upper_names = layers[upper_index - 1].component_names
-    lower_names = layers[upper_index - 2].component_names
-    projections = []
     raw = _expect(obj["projections"], list, f"{path}.projections", "an array")
-    for i, pair in enumerate(raw):
-        up, low = _string_pair(pair, f"{path}.projections[{i}]")
-        if up not in upper_names:
-            raise DanglingReferenceError(
-                f"projection upper endpoint {up!r} is not on layer {upper_index}",
-                f"{path}.projections[{i}]",
-            )
-        if low not in lower_names:
-            raise DanglingReferenceError(
-                f"projection lower endpoint {low!r} is not on layer {upper_index - 1}",
-                f"{path}.projections[{i}]",
-            )
-        projections.append((up, low))
-    return CrossLayer.of(upper_index, projections)
+    projections = tuple(
+        _string_pair(pair, f"{path}.projections[{i}]") for i, pair in enumerate(raw)
+    )
+    return CrossLayer(upper_index, projections)
 
 
-def _parse_node_ref(obj: Any, layers: list[Layer], path: str) -> ComponentId:
+def _parse_node_ref(obj: Any, layers: tuple[Layer, ...], path: str) -> ComponentId:
     _closed(obj, {"layer", "name"}, {"layer", "name"}, path)
     layer = _expect(obj["layer"], int, f"{path}.layer", "an integer")
     name = _expect(obj["name"], str, f"{path}.name", "a string")
@@ -191,7 +190,7 @@ def _parse_node_ref(obj: Any, layers: list[Layer], path: str) -> ComponentId:
     return ComponentId(layer, name)
 
 
-def _parse_scenario(obj: Any, layers: list[Layer], path: str) -> FaultScenario:
+def _parse_scenario(obj: Any, layers: tuple[Layer, ...], path: str) -> FaultScenario:
     _closed(obj, {"label", "failed_nodes", "failed_links"}, {"label"}, path)
     label = _expect(obj["label"], str, f"{path}.label", "a string")
     nodes = [
@@ -209,7 +208,7 @@ def _parse_scenario(obj: Any, layers: list[Layer], path: str) -> FaultScenario:
         if not 1 <= layer <= len(layers):
             raise DanglingReferenceError(f"no layer {layer}", f"{lpath}.layer")
         a, b = _string_pair(entry["link"], f"{lpath}.link")
-        if canonical_link(a, b) not in set(layers[layer - 1].links):
+        if canonical_link(a, b) not in layers[layer - 1].link_set:
             raise DanglingReferenceError(
                 f"no link ({a!r}, {b!r}) on layer {layer}", f"{lpath}.link"
             )
@@ -220,7 +219,7 @@ def _parse_scenario(obj: Any, layers: list[Layer], path: str) -> FaultScenario:
 def parse_model(text: str) -> ModelDocument:
     """Parse and fully validate a model document."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ModelSyntaxError(exc.msg, f"line {exc.lineno}, column {exc.colno}")
     except RecursionError:
@@ -245,26 +244,25 @@ def parse_model(text: str) -> ModelDocument:
         raise ModelParseError(f"unknown mode {mode_raw!r}", "$.mode")
 
     layers_raw = _expect(data["layers"], list, "$.layers", "an array")
-    if not layers_raw:
-        raise ModelParseError("at least one layer is required", "$.layers")
     layers = [
         _parse_layer(obj, i + 1, f"$.layers[{i}]") for i, obj in enumerate(layers_raw)
     ]
     cross_raw = _expect(data.get("cross_layers", []), list, "$.cross_layers", "an array")
     cross_layers = [
-        _parse_cross_layer(obj, layers, f"$.cross_layers[{i}]")
-        for i, obj in enumerate(cross_raw)
+        _parse_cross_layer(obj, f"$.cross_layers[{i}]") for i, obj in enumerate(cross_raw)
     ]
     try:
         network = build_network(layers, cross_layers, mode)
     except ModelError as exc:
-        raise ModelParseError(str(exc), "$")
+        dangling = isinstance(exc, DanglingLinkEndpoint)
+        error = DanglingReferenceError if dangling else ModelParseError
+        raise error(str(exc), f"$.{exc.path}" if exc.path else "$")
 
     scenarios_raw = _expect(data.get("scenarios", []), list, "$.scenarios", "an array")
     scenarios = []
     seen_labels: set[str] = set()
     for i, obj in enumerate(scenarios_raw):
-        scenario = _parse_scenario(obj, layers, f"$.scenarios[{i}]")
+        scenario = _parse_scenario(obj, network.layers, f"$.scenarios[{i}]")
         if scenario.label in seen_labels:
             raise ModelParseError(
                 f"duplicate scenario label {scenario.label!r}", f"$.scenarios[{i}].label"
@@ -480,6 +478,19 @@ def report_payload(report: Any) -> dict[str, Any]:
                 str(idx): _metrics_dict(m) for idx, m in sorted(report.items())
             },
         }
+    if isinstance(report, list):  # campaign: ranked list[ImpactEntry]
+        return {
+            "report_version": REPORT_VERSION,
+            "kind": "campaign",
+            "entries": [
+                {
+                    "node": str(e.node),
+                    "functional_alive": e.result.functional_alive,
+                    "failed_count": e.result.total_failed,
+                }
+                for e in report
+            ],
+        }
     raise TypeError(f"cannot emit report for {type(report).__name__}")
 
 
@@ -529,6 +540,12 @@ def _human_lines(report: Any) -> list[str]:
                 f"{len(m.bridges)} bridges"
             )
         return lines
+    if isinstance(report, list):
+        return [
+            f"{e.node}: {e.result.total_failed} failed, functional "
+            f"{'alive' if e.result.functional_alive else 'DOWN'}"
+            for e in report
+        ]
     raise TypeError(f"cannot emit report for {type(report).__name__}")
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import netstrata
 from netstrata.cli import main
 
 from .conftest import FIXTURES
+from .test_acceptance import ALL_FIXTURES, mutate
 
 
 @pytest.fixture
@@ -175,6 +177,40 @@ def test_export_to_file(runner, tmp_path):
     )
     assert result.exit_code == 0
     assert out.read_text().startswith("graph")
+
+
+def test_export_to_missing_directory_exits_2(runner, tmp_path):
+    out = tmp_path / "missing" / "net.dot"
+    result = runner.invoke(main, ["export", fx("ap.mln.json"), "-o", str(out)])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_fuzzed_documents_keep_the_exit_code_contract(runner, tmp_path):
+    rng = random.Random(11)
+    seeds = [(FIXTURES / name).read_text() for name in ALL_FIXTURES]
+    commands = [
+        ["validate"],
+        ["metrics"],
+        ["simulate", "--exhaustive"],
+        ["export", "--view", "sublayers"],
+        ["decompose", "--layer", "2"],
+    ]
+    doc = tmp_path / "fuzz.mln.json"
+    exits = set()
+    for _ in range(500):
+        doc.write_text(mutate(rng, rng.choice(seeds)), encoding="utf-8")
+        for command in commands:
+            result = runner.invoke(main, [command[0], str(doc), *command[1:]])
+            assert result.exit_code in (0, 1, 2), (command, doc.read_text())
+            assert result.exception is None or isinstance(result.exception, SystemExit), (
+                command,
+                doc.read_text(),
+            )
+            exits.add(result.exit_code)
+    assert exits == {0, 1, 2}
 
 
 def test_commands_are_deterministic(runner):

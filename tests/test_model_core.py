@@ -15,6 +15,7 @@ from netstrata.model import (
     EmptyEdgeSet,
     EmptyLayerSet,
     EmptySpecSet,
+    Layer,
     LayerIndexGap,
     LayerRole,
     MissingCrossLayer,
@@ -123,6 +124,33 @@ def test_cross_layer_index_mismatch():
             [CrossLayer.of(2, [("c", "a")]), CrossLayer.of(2, [("d", "b")])],
             Mode.RELAXED,
         )
+
+
+def test_model_error_path_indexes_the_input_as_given():
+    def raw_layer(index, names, links):
+        return Layer(index, LayerRole.CUSTOM, tuple(comp(n) for n in names), links, ("p1",))
+
+    layers = [
+        raw_layer(3, ["e", "f"], (("e", "f"),)),
+        raw_layer(1, ["b", "a"], (("b", "zed"), ("b", "a"))),
+        raw_layer(2, ["d", "c"], (("d", "c"),)),
+    ]
+    crosses = [CrossLayer(3, (("e", "c"), ("f", "d"))), CrossLayer(2, (("d", "b"), ("c", "a")))]
+    with pytest.raises(DanglingLinkEndpoint) as exc:
+        build_network(layers, crosses)
+    assert exc.value.path == "layers[1].links[0]"
+
+    layers[1] = raw_layer(1, ["b", "a"], (("b", "a"),))
+    crosses[1] = CrossLayer(2, (("d", "b"), ("ghost", "a"), ("c", "a")))
+    with pytest.raises(DanglingLinkEndpoint) as exc:
+        build_network(layers, crosses)
+    assert exc.value.path == "cross_layers[1].projections[1]"
+
+    layers[2] = raw_layer(2, ["d", "c", "d"], (("d", "c"),))
+    with pytest.raises(DuplicateComponentName) as exc:
+        build_network(layers, crosses)
+    assert exc.value.path == "layers[2].components[2].name"
+    assert str(exc.value) == "layer 2: duplicate component name 'd'"
 
 
 def test_layer_index_gap():

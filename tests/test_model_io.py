@@ -236,3 +236,90 @@ def test_emit_cascade_report_survival_totals(fixtures_dir):
         result.final_failed_nodes
     )
     assert total == alive
+
+
+def _component(name, protocols=("p",)):
+    return {"name": name, "kind": "hardware", "protocols": list(protocols)}
+
+
+def _two_layer_doc():
+    comp = _component
+    return {
+        "format_version": "1",
+        "mode": "strict",
+        "layers": [
+            {"role": "custom", "components": [comp("a"), comp("b")], "links": [["a", "b"]]},
+            {"role": "custom", "components": [comp("c"), comp("d")], "links": [["c", "d"]]},
+        ],
+        "cross_layers": [{"upper_index": 2, "projections": [["c", "a"], ["d", "b"]]}],
+    }
+
+
+STRUCTURAL_ERRORS = [
+    ("dangling-link-endpoint", lambda d: d["layers"][1]["links"].append(["c", "ghost"]),
+     "$.layers[1].links[1]", DanglingReferenceError),
+    ("dangling-projection-endpoint",
+     lambda d: d["cross_layers"][0]["projections"].append(["ghost", "a"]),
+     "$.cross_layers[0].projections[2]", DanglingReferenceError),
+    ("self-loop", lambda d: d["layers"][0]["links"].append(["b", "b"]),
+     "$.layers[0].links[1]", ModelParseError),
+    ("empty-name", lambda d: d["layers"][0]["components"].append(_component("")),
+     "$.layers[0].components[2].name", ModelParseError),
+    ("duplicate-name", lambda d: d["layers"][1]["components"].append(_component("c")),
+     "$.layers[1].components[2].name", ModelParseError),
+    ("slash-in-name", lambda d: d["layers"][0]["components"].append(_component("a/b")),
+     "$.layers[0].components[2].name", ModelParseError),
+    ("no-protocols", lambda d: d["layers"][0]["components"].append(_component("e", ())),
+     "$.layers[0].components[2].protocols", ModelParseError),
+    ("undeclared-protocol", lambda d: d["layers"][0].update(protocols=["q"]),
+     "$.layers[0].components[0].protocols", ModelParseError),
+    ("no-components", lambda d: d["layers"][1].update(components=[]),
+     "$.layers[1].components", ModelParseError),
+    ("no-layers", lambda d: d.update(layers=[]), "$.layers", ModelParseError),
+    ("upper-index-out-of-range", lambda d: d["cross_layers"][0].update(upper_index=3),
+     "$.cross_layers[0].upper_index", ModelParseError),
+    ("duplicate-upper-index",
+     lambda d: d["cross_layers"].append({"upper_index": 2, "projections": []}),
+     "$.cross_layers[1].upper_index", ModelParseError),
+    ("missing-cross-layer", lambda d: d.update(cross_layers=[]),
+     "$.cross_layers", ModelParseError),
+    ("strict-empty-links", lambda d: d["layers"][1].update(links=[]),
+     "$.layers[1].links", ModelParseError),
+    ("strict-empty-projections", lambda d: d["cross_layers"][0].update(projections=[]),
+     "$.cross_layers[0].projections", ModelParseError),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, position, error",
+    [row[1:] for row in STRUCTURAL_ERRORS],
+    ids=[row[0] for row in STRUCTURAL_ERRORS],
+)
+def test_structural_errors_name_their_element(edit, position, error):
+    doc = _two_layer_doc()
+    parse_model(json.dumps(doc))
+    edit(doc)
+    with pytest.raises(ModelParseError) as exc:
+        parse_model(json.dumps(doc))
+    assert type(exc.value) is error
+    assert exc.value.position == position
+
+
+@pytest.mark.parametrize(
+    "old, new, position",
+    [
+        ('"name": "b"', '"name": "b", "name": "z"', "$.layers[0].components[1]"),
+        ('"upper_index": 2', '"upper_index": 2, "upper_index": 2', "$.cross_layers[0]"),
+        ('"format_version": "1"', '"format_version": "1", "format_version": "1"', "$"),
+    ],
+    ids=["component", "cross-layer", "root"],
+)
+def test_duplicate_key_rejected_at_its_object(old, new, position):
+    text = json.dumps(_two_layer_doc())
+    assert old in text
+    with pytest.raises(ModelParseError) as exc:
+        parse_model(text.replace(old, new, 1))
+    assert type(exc.value) is ModelParseError
+    assert exc.value.position == position
+    assert "duplicate field" in str(exc.value)
+
