@@ -12,7 +12,7 @@ from pathlib import Path
 import click
 
 from . import analysis, consistency, faults, model_io, multiplex
-from .model import ComponentId, Mode, ModelError, build_network
+from .model import ComponentId, Mode
 from .model_io import ModelDocument, ModelParseError, ModelSyntaxError
 
 
@@ -27,14 +27,8 @@ def _load(path: str, mode: str | None) -> ModelDocument:
     """Parse a model file; an explicit --mode (or NETSTRATA_MODE) overrides
     the mode declared in the file."""
     try:
-        doc = model_io.parse_model(_read(path))
-        if mode is not None and Mode(mode) is not doc.network.mode:
-            network = build_network(
-                doc.network.layers, doc.network.cross_layers, Mode(mode)
-            )
-            doc = ModelDocument(doc.format_version, network, doc.scenarios)
-        return doc
-    except (OSError, ModelParseError, ModelError) as exc:
+        return model_io.parse_model(_read(path), mode)
+    except (OSError, ModelParseError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
 

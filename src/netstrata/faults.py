@@ -8,6 +8,7 @@ connected in the layer below. Propagation iterates to a fixed point.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -70,16 +71,17 @@ class CascadeResult:
 
 
 def _check_scenario(network: MultilayerNetwork, scenario: FaultScenario) -> None:
-    substrate, tables = network.substrate, network.cascade_tables
+    substrate, layers = network.substrate, network.layers
     for node in scenario.failed_nodes:
         if not 1 <= node.layer_index <= len(substrate):
             raise UnknownScenarioElement(f"no layer {node.layer_index} for node {node}")
         if node.local_name not in substrate[node.layer_index - 1].index:
             raise UnknownScenarioElement(f"unknown component {node}")
     for idx, link in scenario.failed_links:
-        if not 1 <= idx <= len(tables):
+        if not 1 <= idx <= len(layers):
             raise UnknownScenarioElement(f"no layer {idx} for link {link}")
-        if link not in tables[idx - 1].link_id:
+        # Membership first: a malformed link must not reach `bisect_left`.
+        if link not in layers[idx - 1].link_set:
             raise UnknownScenarioElement(f"unknown link {link} on layer {idx}")
 
 
@@ -112,7 +114,7 @@ def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeR
     failed, since removing elements never connects anything.
     """
     _check_scenario(network, scenario)
-    substrate, tables = network.substrate, network.cascade_tables
+    substrate, layers = network.substrate, network.layers
     depth = len(substrate)
     failed = [bytearray(len(sub.index)) for sub in substrate]
     inactive = [bytearray(len(sub.links)) for sub in substrate]
@@ -125,7 +127,7 @@ def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeR
         new_nodes[k].add(i)
         changed[k] = True
     for idx, link in scenario.failed_links:
-        inactive[idx - 1][tables[idx - 1].link_id[link]] = 1
+        inactive[idx - 1][bisect_left(layers[idx - 1].links, link)] = 1
         changed[idx - 1] = True
     rounds: list[CascadeRound] = []
 
@@ -168,22 +170,24 @@ def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeR
         rounds.append(
             CascadeRound(
                 frozenset(
-                    t.node_ids[i] for t, ids in zip(tables, round_nodes) for i in ids
+                    ComponentId(l.index, l.components[i].name)
+                    for l, ids in zip(layers, round_nodes)
+                    for i in ids
                 ),
                 frozenset(
-                    t.link_refs[j] for t, ids in zip(tables, round_links) for j in ids
+                    (l.index, l.links[j]) for l, ids in zip(layers, round_links) for j in ids
                 ),
             )
         )
 
     survival: dict[int, float] = {}
     largest_fraction: dict[int, float] = {}
-    functional_alive = not any(l.role is LayerRole.FUNCTIONAL for l in network.layers)
-    for k, layer in enumerate(network.layers):
+    functional_alive = not any(l.role is LayerRole.FUNCTIONAL for l in layers)
+    for k, layer in enumerate(layers):
         total = len(layer.components)
         survivors = total - failed[k].count(1)
         if survivors == total and 1 not in inactive[k]:
-            largest = tables[k].largest_component
+            largest = substrate[k].largest_component
         else:
             labels = _labels(substrate[k], failed[k], inactive[k])
             sizes = Counter(label for label in labels if label >= 0)

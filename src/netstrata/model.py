@@ -183,9 +183,6 @@ class Layer:
     def link_set(self) -> frozenset[Link]:
         return frozenset(self.links)
 
-    def component_id(self, name: str) -> ComponentId:
-        return ComponentId(self.index, name)
-
 
 Projection = tuple[str, str]  # (upper component name, lower component name)
 
@@ -244,17 +241,7 @@ class LayerSubstrate:
     dependents: Sequence[Sequence[int]]  # node ids one layer above
     labels: Sequence[int]  # component labels with nothing failed
     unsupported: Sequence[int]  # links with no supporter pair connected below
-
-
-@dataclass(frozen=True)
-class CascadeTables:
-    """Per-layer tables only the fault cascade needs: the API-edge identity
-    of every node and link id, and the baseline largest component size."""
-
-    node_ids: tuple[ComponentId, ...]
-    link_refs: tuple[tuple[int, Link], ...]
-    link_id: Mapping[Link, int]
-    largest_component: int
+    largest_component: int  # node count of the largest component in `labels`
 
 
 @dataclass(frozen=True)
@@ -274,20 +261,6 @@ class MultilayerNetwork:
     def substrate(self) -> tuple[LayerSubstrate, ...]:
         """The network compiled once into integer tables, bottom layer first."""
         return _compile_substrate(self)
-
-    @cached_property
-    def cascade_tables(self) -> tuple[CascadeTables, ...]:
-        """Tables only the fault cascade reads, kept apart from `substrate` so
-        that validation never builds them."""
-        return tuple(
-            CascadeTables(
-                node_ids=tuple(layer.component_id(c.name) for c in layer.components),
-                link_refs=tuple((layer.index, link) for link in layer.links),
-                link_id={link: j for j, link in enumerate(layer.links)},
-                largest_component=max(Counter(sub.labels).values()),
-            )
-            for layer, sub in zip(self.layers, self.substrate)
-        )
 
     def layer(self, index: int) -> Layer:
         if not 1 <= index <= len(self.layers):
@@ -356,6 +329,7 @@ def _compile_substrate(network: MultilayerNetwork) -> tuple[LayerSubstrate, ...]
             for j, (a, b) in enumerate(links):
                 if {below[s] for s in sup[a]}.isdisjoint([below[s] for s in sup[b]]):
                     unsupported.append(j)
+        labels = int_component_labels(len(index), links)
         out.append(
             LayerSubstrate(
                 index=index,
@@ -363,8 +337,9 @@ def _compile_substrate(network: MultilayerNetwork) -> tuple[LayerSubstrate, ...]
                 incident=incident,
                 supporters=supporters[k],
                 dependents=dependents[k],
-                labels=int_component_labels(len(index), links),
+                labels=labels,
                 unsupported=unsupported,
+                largest_component=max(Counter(labels).values()),
             )
         )
     return tuple(out)

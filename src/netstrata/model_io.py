@@ -10,10 +10,10 @@ for malformed JSON, otherwise a JSON path to the offending element.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Mapping
 
-from . import analysis, multiplex
+from . import multiplex
 from .consistency import ValidationReport
 from .faults import CascadeResult, FaultScenario
 from .model import (
@@ -216,8 +216,9 @@ def _parse_scenario(obj: Any, layers: tuple[Layer, ...], path: str) -> FaultScen
     return FaultScenario.of(nodes, links, label)
 
 
-def parse_model(text: str) -> ModelDocument:
-    """Parse and fully validate a model document."""
+def parse_model(text: str, mode: Mode | str | None = None) -> ModelDocument:
+    """Parse and fully validate a model document. A given `mode` overrides
+    the one the document declares, which must still be valid."""
     try:
         data = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
@@ -239,7 +240,7 @@ def parse_model(text: str) -> ModelDocument:
         )
     mode_raw = _expect(data.get("mode", "strict"), str, "$.mode", "a string")
     try:
-        mode = Mode(mode_raw)
+        declared = Mode(mode_raw)
     except ValueError:
         raise ModelParseError(f"unknown mode {mode_raw!r}", "$.mode")
 
@@ -252,7 +253,7 @@ def parse_model(text: str) -> ModelDocument:
         _parse_cross_layer(obj, f"$.cross_layers[{i}]") for i, obj in enumerate(cross_raw)
     ]
     try:
-        network = build_network(layers, cross_layers, mode)
+        network = build_network(layers, cross_layers, declared if mode is None else mode)
     except ModelError as exc:
         dangling = isinstance(exc, DanglingLinkEndpoint)
         error = DanglingReferenceError if dangling else ModelParseError
@@ -384,83 +385,59 @@ def export_dot(network: MultilayerNetwork, view: str = "flatten") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _violation_dict(v) -> dict[str, Any]:
-    subject: Any = None
-    if v.subject is not None:
-        subject = str(v.subject) if isinstance(v.subject, ComponentId) else list(v.subject)
-    return {
-        "kind": v.kind.value,
-        "layer": v.layer_index,
-        "subject": subject,
-        "detail": v.detail,
-    }
-
-
-def _metrics_dict(m: analysis.LayerMetrics) -> dict[str, Any]:
-    return {
-        "node_count": m.node_count,
-        "link_count": m.link_count,
-        "density": m.density,
-        "degree_min": m.degree_min,
-        "degree_mean": m.degree_mean,
-        "degree_max": m.degree_max,
-        "connected_components": m.connected_components,
-        "largest_component_fraction": m.largest_component_fraction,
-        "diameter_of_largest_component": m.diameter_of_largest_component,
-        "articulation_points": list(m.articulation_points),
-        "bridges": [list(b) for b in m.bridges],
-    }
-
-
 def report_payload(report: Any) -> dict[str, Any]:
-    """Machine-format dictionary for any report type."""
+    """Machine-format dictionary for any report type. This is the only code
+    that reads a report object; the human format is rendered from its result."""
     if isinstance(report, ValidationReport):
-        return {
-            "report_version": REPORT_VERSION,
-            "kind": "validation",
+        kind, body = "validation", {
             "passed": report.passed,
             "mode": report.mode.value,
-            "violations": [_violation_dict(v) for v in report.violations],
-            "warnings": list(report.warnings),
+            "violations": [
+                {
+                    "kind": v.kind.value,
+                    "layer": v.layer_index,
+                    "subject": str(v.subject) if isinstance(v.subject, ComponentId) else v.subject,
+                    "detail": v.detail,
+                }
+                for v in report.violations
+            ],
+            "warnings": report.warnings,
             "interlayer_classes": [
                 {
                     "upper_index": ic.upper_index,
+                    # A key tuple per node: sorting by ComponentId's generated
+                    # `__lt__` took most of this payload's time on large models.
                     "classes": {
                         str(node): cls.value
-                        for node, cls in sorted(ic.classes.items())
+                        for node, cls in sorted(
+                            ic.classes.items(),
+                            key=lambda item: (item[0].layer_index, item[0].local_name),
+                        )
                     },
                 }
                 for ic in report.interlayer_classes
             ],
         }
-    if isinstance(report, ConformanceReport):
-        return {
-            "report_version": REPORT_VERSION,
-            "kind": "conformance",
+    elif isinstance(report, ConformanceReport):
+        kind, body = "conformance", {
             "model_kind": report.model_kind,
             "conforms": report.conforms,
             "missing_roles": [r.value for r in report.missing_roles],
-            "order_violations": list(report.order_violations),
-            "extras": list(report.extras),
+            "order_violations": report.order_violations,
+            "extras": report.extras,
         }
-    if isinstance(report, CascadeResult):
-        return {
-            "report_version": REPORT_VERSION,
-            "kind": "cascade",
+    elif isinstance(report, CascadeResult):
+        kind, body = "cascade", {
             "scenario": report.scenario.label,
             "rounds": [
                 {
                     "failed_nodes": sorted(str(n) for n in r.failed_nodes),
-                    "inactive_links": [
-                        [idx, list(link)] for idx, link in sorted(r.inactive_links)
-                    ],
+                    "inactive_links": sorted(r.inactive_links),
                 }
                 for r in report.rounds
             ],
             "final_failed_nodes": sorted(str(n) for n in report.final_failed_nodes),
-            "final_inactive_links": [
-                [idx, list(link)] for idx, link in sorted(report.final_inactive_links)
-            ],
+            "final_inactive_links": sorted(report.final_inactive_links),
             "per_layer_survival": {
                 str(k): v for k, v in sorted(report.per_layer_survival.items())
             },
@@ -470,18 +447,12 @@ def report_payload(report: Any) -> dict[str, Any]:
             },
             "functional_alive": report.functional_alive,
         }
-    if isinstance(report, dict):  # metrics bundle: layer index -> LayerMetrics
-        return {
-            "report_version": REPORT_VERSION,
-            "kind": "metrics",
-            "layers": {
-                str(idx): _metrics_dict(m) for idx, m in sorted(report.items())
-            },
+    elif isinstance(report, dict):  # metrics bundle: layer index -> LayerMetrics
+        kind, body = "metrics", {
+            "layers": {str(idx): asdict(m) for idx, m in sorted(report.items())}
         }
-    if isinstance(report, list):  # campaign: ranked list[ImpactEntry]
-        return {
-            "report_version": REPORT_VERSION,
-            "kind": "campaign",
+    elif isinstance(report, list):  # campaign: ranked list[ImpactEntry]
+        kind, body = "campaign", {
             "entries": [
                 {
                     "node": str(e.node),
@@ -489,71 +460,68 @@ def report_payload(report: Any) -> dict[str, Any]:
                     "failed_count": e.result.total_failed,
                 }
                 for e in report
-            ],
+            ]
         }
-    raise TypeError(f"cannot emit report for {type(report).__name__}")
+    else:
+        raise TypeError(f"cannot emit report for {type(report).__name__}")
+    return {"report_version": REPORT_VERSION, "kind": kind, **body}
 
 
-def _human_lines(report: Any) -> list[str]:
-    if isinstance(report, ValidationReport):
-        lines = [f"validation: {'PASSED' if report.passed else 'FAILED'} ({report.mode.value} mode)"]
-        for v in report.violations:
-            lines.append(f"violation [{v.kind.value}] layer {v.layer_index}: {v.detail}")
-        for w in report.warnings:
-            lines.append(f"warning: {w}")
-        return lines
-    if isinstance(report, ConformanceReport):
-        lines = [
-            f"conformance ({report.model_kind}): "
-            f"{'CONFORMS' if report.conforms else 'DOES NOT CONFORM'}"
-        ]
-        for r in report.missing_roles:
-            lines.append(f"missing role: {r.value}")
-        for o in report.order_violations:
-            lines.append(f"order violation: {o}")
-        for idx in report.extras:
-            lines.append(f"extra layer: {idx}")
-        return lines
-    if isinstance(report, CascadeResult):
-        lines = [
-            f"cascade '{report.scenario.label}': {report.total_failed} nodes failed "
-            f"in {len(report.rounds)} rounds, functional layer "
-            f"{'alive' if report.functional_alive else 'DOWN'}"
-        ]
-        for idx in sorted(report.per_layer_survival):
-            lines.append(
-                f"layer {idx}: survival {report.per_layer_survival[idx]:.3f}, "
-                "largest component "
-                f"{report.per_layer_largest_component_fraction[idx]:.3f}"
-            )
-        return lines
-    if isinstance(report, dict):
-        lines = []
-        for idx, m in sorted(report.items()):
-            lines.append(
-                f"layer {idx}: {m.node_count} nodes, {m.link_count} links, "
-                f"density {m.density:.3f}, degrees {m.degree_min}/"
-                f"{m.degree_mean:.2f}/{m.degree_max}, "
-                f"{m.connected_components} components, "
-                f"diameter {m.diameter_of_largest_component}, "
-                f"{len(m.articulation_points)} articulation points, "
-                f"{len(m.bridges)} bridges"
-            )
-        return lines
-    if isinstance(report, list):
+def _human_lines(payload: dict[str, Any]) -> list[str]:
+    """One finding per line, read from a `report_payload` result."""
+    kind = payload["kind"]
+    if kind == "validation":
         return [
-            f"{e.node}: {e.result.total_failed} failed, functional "
-            f"{'alive' if e.result.functional_alive else 'DOWN'}"
-            for e in report
+            f"validation: {'PASSED' if payload['passed'] else 'FAILED'} ({payload['mode']} mode)",
+            *(
+                f"violation [{v['kind']}] layer {v['layer']}: {v['detail']}"
+                for v in payload["violations"]
+            ),
+            *(f"warning: {w}" for w in payload["warnings"]),
         ]
-    raise TypeError(f"cannot emit report for {type(report).__name__}")
+    if kind == "conformance":
+        return [
+            f"conformance ({payload['model_kind']}): "
+            f"{'CONFORMS' if payload['conforms'] else 'DOES NOT CONFORM'}",
+            *(f"missing role: {r}" for r in payload["missing_roles"]),
+            *(f"order violation: {o}" for o in payload["order_violations"]),
+            *(f"extra layer: {idx}" for idx in payload["extras"]),
+        ]
+    if kind == "cascade":
+        largest = payload["per_layer_largest_component_fraction"]
+        return [
+            f"cascade '{payload['scenario']}': {len(payload['final_failed_nodes'])} nodes "
+            f"failed in {len(payload['rounds'])} rounds, functional layer "
+            f"{'alive' if payload['functional_alive'] else 'DOWN'}",
+            *(
+                f"layer {idx}: survival {survival:.3f}, largest component {largest[idx]:.3f}"
+                for idx, survival in payload["per_layer_survival"].items()
+            ),
+        ]
+    if kind == "metrics":
+        return [
+            f"layer {idx}: {m['node_count']} nodes, {m['link_count']} links, "
+            f"density {m['density']:.3f}, degrees {m['degree_min']}/"
+            f"{m['degree_mean']:.2f}/{m['degree_max']}, "
+            f"{m['connected_components']} components, "
+            f"diameter {m['diameter_of_largest_component']}, "
+            f"{len(m['articulation_points'])} articulation points, "
+            f"{len(m['bridges'])} bridges"
+            for idx, m in payload["layers"].items()
+        ]
+    return [
+        f"{e['node']}: {e['failed_count']} failed, functional "
+        f"{'alive' if e['functional_alive'] else 'DOWN'}"
+        for e in payload["entries"]
+    ]
 
 
 def emit_report(report: Any, format: str = "human") -> str:
     """Render a report. Machine format is versioned JSON; human format is one
-    finding per line."""
+    finding per line, read from the same payload."""
+    if format not in ("machine", "human"):
+        raise ValueError(f"unknown report format {format!r}")
+    payload = report_payload(report)
     if format == "machine":
-        return json.dumps(report_payload(report), indent=2) + "\n"
-    if format == "human":
-        return "\n".join(_human_lines(report)) + "\n"
-    raise ValueError(f"unknown report format {format!r}")
+        return json.dumps(payload, indent=2) + "\n"
+    return "\n".join(_human_lines(payload)) + "\n"

@@ -64,6 +64,7 @@ def test_mode_flag_overrides_file(runner):
         main, ["validate", fx("dual_homed.mln.json"), "--mode", "strict"]
     )
     assert result.exit_code == 2
+    assert result.stderr == "error: $.layers[1].links: layer 2 has no links (strict mode)\n"
 
 
 def test_mode_env_var(runner):
@@ -73,6 +74,7 @@ def test_mode_env_var(runner):
         env={"NETSTRATA_MODE": "strict"},
     )
     assert result.exit_code == 2
+    assert result.stderr == "error: $.layers[1].links: layer 2 has no links (strict mode)\n"
 
 
 def test_decompose_ap(runner):

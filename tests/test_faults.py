@@ -109,6 +109,9 @@ def test_unknown_scenario_element(dual_homed_network):
         run_cascade(dual_homed_network, FaultScenario.of([cid(1, "ghost")]))
     with pytest.raises(UnknownScenarioElement):
         run_cascade(dual_homed_network, FaultScenario.of(links=[(9, ("p1", "p2"))]))
+    for link in [("p1", "ghost"), (1, 2)]:
+        with pytest.raises(UnknownScenarioElement):
+            run_cascade(dual_homed_network, FaultScenario.of(links=[(1, link)]))
 
 
 def test_rounds_partition_final_state(dual_homed_network):

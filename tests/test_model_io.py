@@ -323,3 +323,16 @@ def test_duplicate_key_rejected_at_its_object(old, new, position):
     assert exc.value.position == position
     assert "duplicate field" in str(exc.value)
 
+
+def test_mode_argument_overrides_the_declared_mode(fixtures_dir):
+    text = read(fixtures_dir, "dual_homed.mln.json")
+    assert parse_model(text).network.mode is Mode.RELAXED
+    with pytest.raises(ModelParseError) as exc:
+        parse_model(text, Mode.STRICT)
+    assert exc.value.position == "$.layers[1].links"
+    strict = read(fixtures_dir, "basic_stack.mln.json")
+    assert parse_model(strict, "relaxed").network.mode is Mode.RELAXED
+    # the declared mode is still checked when overridden
+    with pytest.raises(ModelParseError) as exc:
+        parse_model(strict.replace('"mode": "strict"', '"mode": "lenient"', 1), "strict")
+    assert exc.value.position == "$.mode"
