@@ -155,7 +155,9 @@ class InterlayerDegreeStats:
 def interlayer_degree_stats(
     network: MultilayerNetwork, upper_index: int
 ) -> InterlayerDegreeStats:
-    cross = network.cross_layer(upper_index)
-    upper_deg = Counter(len(v) for v in cross.supporters_by_upper.values())
-    lower_deg = Counter(len(v) for v in cross.dependents_by_lower.values())
+    network.cross_layer(upper_index)  # KeyError unless 2 <= upper_index <= depth
+    supporters = network.substrate[upper_index - 1].supporters
+    dependents = network.substrate[upper_index - 2].dependents
+    upper_deg = Counter(len(ids) for ids in supporters if ids)
+    lower_deg = Counter(len(ids) for ids in dependents if ids)
     return InterlayerDegreeStats(upper_index, dict(upper_deg), dict(lower_deg))

@@ -132,26 +132,32 @@ def classify_interlayer(network: MultilayerNetwork, upper_index: int) -> Interla
     """Classify every node incident to a cross-layer by the technology its
     projection pattern represents. Each projection carries the labels implied
     by its endpoint degrees and both endpoints inherit them; a node collecting
-    more than one distinct label is mixed."""
-    cross = network.cross_layer(upper_index)
-    labels: dict[ComponentId, set[NodeClass]] = {}
-    for up, low in cross.projections:
-        deg_up = len(cross.supporters_by_upper[up])
-        deg_low = len(cross.dependents_by_lower[low])
-        edge_labels: set[NodeClass] = set()
-        if deg_up > 1:
-            edge_labels.add(NodeClass.CLUSTERING)
-        if deg_low > 1:
-            edge_labels.add(NodeClass.VIRTUALIZATION_REPLICATION)
-        if deg_up == 1 and deg_low == 1:
-            edge_labels.add(NodeClass.DEDICATED)
-        for node in (ComponentId(upper_index, up), ComponentId(upper_index - 1, low)):
-            labels.setdefault(node, set()).update(edge_labels)
+    more than one distinct label is mixed. Classes are keyed lower layer first,
+    then upper layer, each in component (name) order, which is the order
+    reports print."""
+    network.cross_layer(upper_index)  # KeyError unless 2 <= upper_index <= depth
+    supporters = network.substrate[upper_index - 1].supporters
+    dependents = network.substrate[upper_index - 2].dependents
+    lower_labels: list[set[NodeClass]] = [set() for _ in dependents]
+    upper_labels: list[set[NodeClass]] = [set() for _ in supporters]
+    for up, lows in enumerate(supporters):
+        for low in lows:
+            edge_labels: set[NodeClass] = set()
+            if len(lows) > 1:
+                edge_labels.add(NodeClass.CLUSTERING)
+            if len(dependents[low]) > 1:
+                edge_labels.add(NodeClass.VIRTUALIZATION_REPLICATION)
+            if not edge_labels:
+                edge_labels.add(NodeClass.DEDICATED)
+            upper_labels[up] |= edge_labels
+            lower_labels[low] |= edge_labels
 
-    classes = {
-        node: (next(iter(ls)) if len(ls) == 1 else NodeClass.MIXED)
-        for node, ls in labels.items()
-    }
+    classes: dict[ComponentId, NodeClass] = {}
+    for index, labels in ((upper_index - 1, lower_labels), (upper_index, upper_labels)):
+        for comp, ls in zip(network.layer(index).components, labels):
+            if ls:
+                cls = next(iter(ls)) if len(ls) == 1 else NodeClass.MIXED
+                classes[ComponentId(index, comp.name)] = cls
     return InterlayerClass(upper_index, classes)
 
 

@@ -206,13 +206,6 @@ class CrossLayer:
             out.setdefault(up, []).append(low)
         return {n: tuple(v) for n, v in out.items()}
 
-    @cached_property
-    def dependents_by_lower(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {}
-        for up, low in self.projections:
-            out.setdefault(low, []).append(up)
-        return {n: tuple(v) for n, v in out.items()}
-
 
 @dataclass(frozen=True)
 class FlatEdge:

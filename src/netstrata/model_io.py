@@ -225,6 +225,8 @@ def parse_model(text: str, mode: Mode | str | None = None) -> ModelDocument:
         raise ModelSyntaxError(exc.msg, f"line {exc.lineno}, column {exc.colno}")
     except RecursionError:
         raise ModelSyntaxError("arrays or objects nested too deeply", "$")
+    except ValueError:  # CPython's int-string limit, not a JSONDecodeError
+        raise ModelSyntaxError("integer literal has too many digits", "$")
 
     _closed(
         data,
@@ -405,15 +407,7 @@ def report_payload(report: Any) -> dict[str, Any]:
             "interlayer_classes": [
                 {
                     "upper_index": ic.upper_index,
-                    # A key tuple per node: sorting by ComponentId's generated
-                    # `__lt__` took most of this payload's time on large models.
-                    "classes": {
-                        str(node): cls.value
-                        for node, cls in sorted(
-                            ic.classes.items(),
-                            key=lambda item: (item[0].layer_index, item[0].local_name),
-                        )
-                    },
+                    "classes": {str(node): cls.value for node, cls in ic.classes.items()},
                 }
                 for ic in report.interlayer_classes
             ],

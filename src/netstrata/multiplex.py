@@ -1,7 +1,8 @@
 """Protocol-induced decomposition of a layer into multiplex sub-layers.
 
 A link belongs to the sub-layer of protocol p iff both endpoints support p,
-so the same link can live in several sub-layers at once.
+so the same link can live in several sub-layers at once. Every query here
+reads one table, `link_protocols`.
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ class ProtocolSubLayer:
     links: tuple[Link, ...]
 
 
-def _shared_protocols(layer: Layer, link: Link) -> frozenset[str]:
-    a, b = link
-    return (
-        frozenset(layer.by_name[a].protocols)
-        & frozenset(layer.by_name[b].protocols)
-        & frozenset(layer.protocols)
-    )
+def link_protocols(layer: Layer) -> list[frozenset[str]]:
+    """The declared protocols both endpoints of each link support, in
+    `layer.links` order. Each component's protocols meet the declared set once,
+    not once per link."""
+    declared = frozenset(layer.protocols)
+    own = {c.name: declared.intersection(c.protocols) for c in layer.components}
+    return [own[a] & own[b] for a, b in layer.links]
 
 
 def decompose_layer(layer: Layer) -> list[ProtocolSubLayer]:
@@ -32,8 +33,8 @@ def decompose_layer(layer: Layer) -> list[ProtocolSubLayer]:
     one link. Protocols inducing nothing are reported by `unused_protocols`,
     not emitted here."""
     by_protocol: dict[str, list[Link]] = {}
-    for link in layer.links:
-        for p in _shared_protocols(layer, link):
+    for link, shared in zip(layer.links, link_protocols(layer)):
+        for p in shared:
             by_protocol.setdefault(p, []).append(link)
     return [
         ProtocolSubLayer(layer.index, p, tuple(sorted(by_protocol[p])))
@@ -43,8 +44,7 @@ def decompose_layer(layer: Layer) -> list[ProtocolSubLayer]:
 
 def unused_protocols(layer: Layer) -> list[str]:
     """Declared protocols that induce no link at all."""
-    induced = {sub.protocol for sub in decompose_layer(layer)}
-    return sorted(set(layer.protocols) - induced)
+    return sorted(set(layer.protocols).difference(*link_protocols(layer)))
 
 
 def check_cover(layer: Layer) -> list[Link]:
@@ -52,11 +52,11 @@ def check_cover(layer: Layer) -> list[Link]:
     decomposition, so an empty result means the sub-layer union reproduces
     the layer's link set exactly."""
     return sorted(
-        link for link in layer.links if not _shared_protocols(layer, link)
+        link for link, shared in zip(layer.links, link_protocols(layer)) if not shared
     )
 
 
 def multiplex_multiplicity(layer: Layer) -> dict[Link, int]:
     """How many sub-layers each linked pair appears in; bounded by the size
     of the layer's protocol set."""
-    return {link: len(_shared_protocols(layer, link)) for link in layer.links}
+    return {link: len(shared) for link, shared in zip(layer.links, link_protocols(layer))}

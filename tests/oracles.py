@@ -108,6 +108,48 @@ def oracle_uncovered(layer):
     return out
 
 
+def oracle_decomposition(layer):
+    """Per-protocol sub-layer links (only protocols that induce a link) and
+    the declared protocols that induce none, by scanning every declared
+    protocol against every link."""
+    subs = {}
+    for p in layer.protocols:
+        links = [
+            (a, b)
+            for a, b in layer.links
+            if p in layer.by_name[a].spec.protocols and p in layer.by_name[b].spec.protocols
+        ]
+        if links:
+            subs[p] = sorted(links)
+    unused = sorted(p for p in set(layer.protocols) if p not in subs)
+    return subs, unused
+
+
+def oracle_interlayer_classes(network: MultilayerNetwork, upper_index):
+    """`{"layer/name": class value}` for every node incident to a projection
+    of the cross-layer, from the projection list by name: each projection's
+    labels follow from its endpoints' projection counts, both endpoints
+    collect them, and more than one distinct label makes a node mixed."""
+    cross = network.cross_layer(upper_index)
+    labels = {}
+    for up, low in cross.projections:
+        deg_up = sum(1 for u, _ in cross.projections if u == up)
+        deg_low = sum(1 for _, l in cross.projections if l == low)
+        edge = set()
+        if deg_up > 1:
+            edge.add("clustering")
+        if deg_low > 1:
+            edge.add("virtualization-replication")
+        if deg_up == 1 and deg_low == 1:
+            edge.add("dedicated")
+        for node in (f"{upper_index}/{up}", f"{upper_index - 1}/{low}"):
+            labels.setdefault(node, set()).update(edge)
+    return {
+        node: (next(iter(ls)) if len(ls) == 1 else "mixed")
+        for node, ls in labels.items()
+    }
+
+
 def oracle_consistency_violations(network: MultilayerNetwork):
     """Exhaustive re-derivation of node-support, cardinality and
     path-consistency findings as comparable tuples."""

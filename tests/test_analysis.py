@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netstrata.analysis import (
@@ -183,6 +183,7 @@ def test_articulation_point_removal_splits(seed):
 
 
 @given(seed=st.integers(0, 10_000))
+@example(seed=9342)  # two components tie for largest, and the renaming swaps their order
 @settings(max_examples=30, deadline=None)
 def test_metrics_invariant_under_relabeling(seed):
     rng = random.Random(seed)
@@ -201,8 +202,13 @@ def test_metrics_invariant_under_relabeling(seed):
         "degree_max",
         "connected_components",
         "largest_component_fraction",
-        "diameter_of_largest_component",
     ):
         assert getattr(a, field) == getattr(b, field)
+    # the tie rule for the largest component reads names, so each naming
+    # is checked against the rule rather than against the other
+    assert a.diameter_of_largest_component == oracles.bf_diameter_of_largest(names, l.links)
+    assert b.diameter_of_largest_component == oracles.bf_diameter_of_largest(
+        list(mapping.values()), renamed_links
+    )
     assert len(a.articulation_points) == len(b.articulation_points)
     assert len(a.bridges) == len(b.bridges)

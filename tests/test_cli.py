@@ -226,8 +226,9 @@ def test_commands_are_deterministic(runner):
     [
         b'{"format_version": "1", "layers": ["\xff\xfe"]}',
         b"[" * 100_000 + b"]" * 100_000,
+        b"[" + b"1" * 5000 + b"]",
     ],
-    ids=["non-utf8", "deep-nesting"],
+    ids=["non-utf8", "deep-nesting", "long-integer"],
 )
 def test_unreadable_document_exits_2(runner, tmp_path, content):
     doc = tmp_path / "bad.mln.json"

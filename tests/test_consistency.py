@@ -19,7 +19,11 @@ from netstrata.model import ComponentId, CrossLayer, Mode, build_network
 from netstrata.multiplex import check_cover
 
 from .conftest import comp, layer
-from .oracles import oracle_consistency_violations, oracle_uncovered
+from .oracles import (
+    oracle_consistency_violations,
+    oracle_interlayer_classes,
+    oracle_uncovered,
+)
 
 
 def two_over_three(l1_links, projections):
@@ -154,6 +158,19 @@ def test_classification_is_total(seed):
             ComponentId(cross.upper_index - 1, low) for _, low in cross.projections
         }
         assert set(classes) == incident
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_classification_matches_oracle_in_report_order(seed):
+    net = random_network(random.Random(seed), consistent=False)
+    for cross in net.cross_layers:
+        classes = classify_interlayer(net, cross.upper_index).classes
+        got = {str(node): cls.value for node, cls in classes.items()}
+        assert got == oracle_interlayer_classes(net, cross.upper_index)
+        # reports print the classes as they iterate, with no sort of their own
+        nodes = list(classes)
+        assert nodes == sorted(nodes, key=lambda n: (n.layer_index, n.local_name))
 
 
 def test_validate_consistent_model_passes(basic_stack_network):

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 
@@ -132,6 +133,18 @@ def test_syntax_error_has_line_position(fixtures_dir):
     with pytest.raises(ModelSyntaxError) as exc:
         parse_model(read(fixtures_dir, "malformed.mln.json"))
     assert exc.value.position.startswith("line ")
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter has no int-string digit limit",
+)
+def test_overlong_integer_literal_is_a_syntax_error():
+    # `json.loads` raises a plain ValueError, not a JSONDecodeError, past the limit
+    digits = sys.get_int_max_str_digits() + 1
+    with pytest.raises(ModelSyntaxError) as exc:
+        parse_model("[" + "1" * digits + "]")
+    assert exc.value.position == "$"
 
 
 def test_all_parse_errors_carry_positions():

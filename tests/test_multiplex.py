@@ -4,14 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netstrata.generators import random_layer
+from netstrata.model import Layer
 from netstrata.multiplex import (
     check_cover,
     decompose_layer,
+    link_protocols,
     multiplex_multiplicity,
     unused_protocols,
 )
 
 from .conftest import comp, layer
+from .oracles import oracle_decomposition, oracle_uncovered
 
 
 def test_two_protocol_split():
@@ -104,3 +107,26 @@ def test_decomposition_is_stable_under_reapplication(seed):
     once = decompose_layer(l)
     again = decompose_layer(l)
     assert once == again
+
+
+@given(seed=st.integers(0, 10_000), narrow=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_decomposition_matches_oracle(seed, narrow):
+    rng = random.Random(seed)
+    l = random_layer(rng, ensure_cover=False)
+    if narrow:
+        # declare fewer protocols than the components support: the rest
+        # must induce no sub-layer
+        declared = rng.sample(l.protocols, rng.randint(0, len(l.protocols)))
+        l = Layer.of(l.index, l.components, l.links, l.role, declared)
+    subs, unused = oracle_decomposition(l)
+    got = decompose_layer(l)
+    assert [sub.protocol for sub in got] == sorted(subs)
+    assert {sub.protocol: list(sub.links) for sub in got} == subs
+    assert unused_protocols(l) == unused
+    assert set(check_cover(l)) == oracle_uncovered(l)
+    shared = [{p for p, links in subs.items() if link in links} for link in l.links]
+    assert link_protocols(l) == shared
+    assert multiplex_multiplicity(l) == {
+        link: len(ps) for link, ps in zip(l.links, shared)
+    }
