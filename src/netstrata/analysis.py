@@ -12,7 +12,7 @@ from . import multiplex
 from .graphutil import int_component_labels
 from .model import Layer, Link, MultilayerNetwork
 
-# BFS sources per shortest_path call, so the diameter holds O(chunk * n) floats.
+# BFS sources per chunk; a chunk holds their trees as chunk * n int32 predecessors.
 _DIAMETER_CHUNK = 256
 
 
@@ -32,23 +32,34 @@ class LayerMetrics:
 
 
 def _diameter(n: int, pairs: list[tuple[int, int]], sources: list[int]) -> int:
-    """Largest finite BFS distance from `sources` in the graph `0..n-1`,
-    taken chunk by chunk in compiled code."""
+    """Largest finite BFS distance from `sources` in the graph `0..n-1`.
+    Each source gets one BFS tree in compiled code; the last node of its BFS
+    order is a farthest one, and its depth is found by following the tree's
+    predecessors back to the source, for a whole chunk of sources at once."""
     # Only `metrics` needs scipy; importing it here keeps it out of other commands.
     import numpy as np
     from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import shortest_path
+    from scipy.sparse.csgraph import breadth_first_order
 
     rows = [a for a, _ in pairs] + [b for _, b in pairs]
     cols = [b for _, b in pairs] + [a for a, _ in pairs]
     mat = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    best = 0.0
+    best = 0
     for i in range(0, len(sources), _DIAMETER_CHUNK):
-        dist = shortest_path(
-            mat, method="D", unweighted=True, indices=sources[i : i + _DIAMETER_CHUNK]
-        )
-        best = max(best, dist.max(where=np.isfinite(dist), initial=0.0))
-    return int(best)
+        src = np.array(sources[i : i + _DIAMETER_CHUNK], dtype=np.int32)
+        pred = np.empty((len(src), n), dtype=np.int32)
+        cur = np.empty_like(src)
+        for row, s in enumerate(src):
+            # The matrix is symmetric, so the directed BFS is the undirected one.
+            order, pred[row] = breadth_first_order(mat, s, return_predecessors=True)
+            cur[row] = order[-1]
+        rows_ix = np.arange(len(src))
+        depth = 0
+        while (cur != src).any():
+            cur = np.where(cur != src, pred[rows_ix, cur], cur)
+            depth += 1
+        best = max(best, depth)
+    return best
 
 
 def _cut_points(adj: list[list[int]]) -> tuple[set[int], list[tuple[int, int]]]:

@@ -73,9 +73,13 @@ def supporters(network: MultilayerNetwork, component: ComponentId) -> set[Compon
         raise BottomLayerHasNoSupporters(
             f"{component} is on the bottom layer; nothing lies below it"
         )
-    cross = network.cross_layer(component.layer_index)
-    lows = cross.supporters_by_upper.get(component.local_name, ())
-    return {ComponentId(component.layer_index - 1, low) for low in lows}
+    network.cross_layer(component.layer_index)  # KeyError above the top layer
+    k = component.layer_index - 1
+    sub = network.substrate[k]
+    up = sub.index.get(component.local_name)
+    lows = sub.supporters[up] if up is not None else ()
+    below = network.layers[k - 1].components
+    return {ComponentId(k, below[low].name) for low in lows}
 
 
 def check_node_support(network: MultilayerNetwork) -> list[Violation]:
@@ -84,8 +88,9 @@ def check_node_support(network: MultilayerNetwork) -> list[Violation]:
     for cross in network.cross_layers:
         alpha = cross.upper_index
         upper = network.layer(alpha)
-        for comp in upper.components:
-            if comp.name not in cross.supporters_by_upper:
+        sups = network.substrate[alpha - 1].supporters
+        for comp, lows in zip(upper.components, sups):
+            if not lows:
                 out.append(
                     Violation(
                         ViolationKind.UNSUPPORTED_NODE,

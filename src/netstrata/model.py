@@ -183,6 +183,15 @@ class Layer:
     def link_set(self) -> frozenset[Link]:
         return frozenset(self.links)
 
+    @cached_property
+    def link_protocols(self) -> tuple[frozenset[str], ...]:
+        """The declared protocols both endpoints of each link support, in
+        `links` order. Each component's protocols meet the declared set once,
+        not once per link."""
+        declared = frozenset(self.protocols)
+        own = {c.name: declared.intersection(c.protocols) for c in self.components}
+        return tuple(own[a] & own[b] for a, b in self.links)
+
 
 Projection = tuple[str, str]  # (upper component name, lower component name)
 
@@ -198,13 +207,6 @@ class CrossLayer:
     @staticmethod
     def of(upper_index: int, projections: Iterable[tuple[str, str]]) -> "CrossLayer":
         return CrossLayer(upper_index, tuple(sorted(set(projections))))
-
-    @cached_property
-    def supporters_by_upper(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {}
-        for up, low in self.projections:
-            out.setdefault(up, []).append(low)
-        return {n: tuple(v) for n, v in out.items()}
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ for malformed JSON, otherwise a JSON path to the offending element.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, dataclass
 from typing import Any, Mapping
 
@@ -35,6 +36,8 @@ from .reference import ConformanceReport
 
 FORMAT_VERSION = "1"
 REPORT_VERSION = "1"
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 class ModelParseError(ValueError):
@@ -93,6 +96,25 @@ def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
                 return _RepeatedKey(key)
             seen.add(key)
     return obj
+
+
+def _lone_surrogate(data: Any) -> str | None:
+    """JSON path of a string or object key holding a lone surrogate (from a
+    `\\ud800`-style escape), or None. Such a string is not Unicode text and
+    cannot be written out as UTF-8."""
+    stack: list[tuple[Any, str]] = [(data, "$")]
+    while stack:
+        value, path = stack.pop()
+        if isinstance(value, str):
+            if _SURROGATE.search(value):
+                return path
+        elif isinstance(value, dict):
+            if _SURROGATE.search("".join(value)):
+                return path
+            stack.extend((v, f"{path}.{k}") for k, v in value.items())
+        elif isinstance(value, list):
+            stack.extend((v, f"{path}[{i}]") for i, v in enumerate(value))
+    return None
 
 
 def _expect(value: Any, typ: type, path: str, what: str) -> Any:
@@ -227,6 +249,10 @@ def parse_model(text: str, mode: Mode | str | None = None) -> ModelDocument:
         raise ModelSyntaxError("arrays or objects nested too deeply", "$")
     except ValueError:  # CPython's int-string limit, not a JSONDecodeError
         raise ModelSyntaxError("integer literal has too many digits", "$")
+    # UTF-8 decoding already rejects encoded surrogates, so only a `\uD800`-
+    # `\uDFFF` escape can bring one in; documents without one skip the walk.
+    if _SURROGATE_ESCAPE.search(text) and (where := _lone_surrogate(data)) is not None:
+        raise ModelParseError("string holds a lone surrogate, not Unicode text", where)
 
     _closed(
         data,

@@ -2,7 +2,7 @@
 
 A link belongs to the sub-layer of protocol p iff both endpoints support p,
 so the same link can live in several sub-layers at once. Every query here
-reads one table, `link_protocols`.
+reads one table, `Layer.link_protocols`, built once per layer.
 """
 
 from __future__ import annotations
@@ -21,11 +21,8 @@ class ProtocolSubLayer:
 
 def link_protocols(layer: Layer) -> list[frozenset[str]]:
     """The declared protocols both endpoints of each link support, in
-    `layer.links` order. Each component's protocols meet the declared set once,
-    not once per link."""
-    declared = frozenset(layer.protocols)
-    own = {c.name: declared.intersection(c.protocols) for c in layer.components}
-    return [own[a] & own[b] for a, b in layer.links]
+    `layer.links` order: a copy of `Layer.link_protocols`."""
+    return list(layer.link_protocols)
 
 
 def decompose_layer(layer: Layer) -> list[ProtocolSubLayer]:
@@ -33,7 +30,7 @@ def decompose_layer(layer: Layer) -> list[ProtocolSubLayer]:
     one link. Protocols inducing nothing are reported by `unused_protocols`,
     not emitted here."""
     by_protocol: dict[str, list[Link]] = {}
-    for link, shared in zip(layer.links, link_protocols(layer)):
+    for link, shared in zip(layer.links, layer.link_protocols):
         for p in shared:
             by_protocol.setdefault(p, []).append(link)
     return [
@@ -44,7 +41,7 @@ def decompose_layer(layer: Layer) -> list[ProtocolSubLayer]:
 
 def unused_protocols(layer: Layer) -> list[str]:
     """Declared protocols that induce no link at all."""
-    return sorted(set(layer.protocols).difference(*link_protocols(layer)))
+    return sorted(set(layer.protocols).difference(*layer.link_protocols))
 
 
 def check_cover(layer: Layer) -> list[Link]:
@@ -52,11 +49,11 @@ def check_cover(layer: Layer) -> list[Link]:
     decomposition, so an empty result means the sub-layer union reproduces
     the layer's link set exactly."""
     return sorted(
-        link for link, shared in zip(layer.links, link_protocols(layer)) if not shared
+        link for link, shared in zip(layer.links, layer.link_protocols) if not shared
     )
 
 
 def multiplex_multiplicity(layer: Layer) -> dict[Link, int]:
     """How many sub-layers each linked pair appears in; bounded by the size
     of the layer's protocol set."""
-    return {link: len(shared) for link, shared in zip(layer.links, link_protocols(layer))}
+    return {link: len(shared) for link, shared in zip(layer.links, layer.link_protocols)}

@@ -282,15 +282,22 @@ def oracle_cascade_rounds(network: MultilayerNetwork, scenario):
         ]
         return _bf_labels(survivors, active)
 
+    # Lower names per upper name, for each upper layer index; a node with no
+    # projection has no entry, so the all-supporters-failed rule skips it.
+    supporters_by_upper = {}
+    for cross in network.cross_layers:
+        by_name = supporters_by_upper.setdefault(cross.upper_index, {})
+        for up, low in cross.projections:
+            by_name.setdefault(up, []).append(low)
+
     failed = frozenset(scenario.failed_nodes)
     inactive = frozenset(scenario.failed_links)
     rounds = []
     while True:
         new_failed = set()
         new_inactive = set()
-        for cross in network.cross_layers:
-            alpha = cross.upper_index
-            for name, sups in cross.supporters_by_upper.items():
+        for alpha, by_name in supporters_by_upper.items():
+            for name, sups in by_name.items():
                 node = ComponentId(alpha, name)
                 if node not in failed and all(
                     ComponentId(alpha - 1, s) in failed for s in sups
@@ -314,7 +321,7 @@ def oracle_cascade_rounds(network: MultilayerNetwork, scenario):
                     labels = surviving_labels(
                         network.layer(layer.index - 1), failed, inactive
                     )
-                sups = network.cross_layer(layer.index).supporters_by_upper
+                sups = supporters_by_upper[layer.index]
                 comps_a = {labels[s] for s in sups.get(a, ()) if s in labels}
                 comps_b = {labels[s] for s in sups.get(b, ()) if s in labels}
                 if not (comps_a & comps_b):

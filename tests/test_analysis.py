@@ -164,6 +164,36 @@ def test_long_path_needs_no_recursion():
     assert m.diameter_of_largest_component == n - 1
 
 
+def _ring_with_chords(rng, names):
+    chords = [tuple(rng.sample(names, 2)) for _ in range(rng.randint(0, len(names) // 4))]
+    return list(zip(names, names[1:] + names[:1])) + chords
+
+
+def _random_tree(rng, names):
+    return [(v, names[rng.randrange(i)]) for i, v in enumerate(names) if i]
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    size=st.integers(257, 700),
+    shape=st.sampled_from([_ring_with_chords, _random_tree]),
+)
+@settings(max_examples=25, deadline=None)
+def test_diameter_spanning_several_chunks_matches_brute_force(seed, size, shape):
+    # The largest component holds more sources than one diameter chunk (256).
+    rng = random.Random(seed)
+    second = rng.randint(2, size - 1)
+    names = [f"n{i:04d}" for i in range(size + second + rng.randint(1, 5))]
+    rng.shuffle(names)  # so chunks mix nodes from every part of both shapes
+    big, small = names[:size], names[size : size + second]
+    links = shape(rng, big) + list(zip(small, small[1:]))  # the second is a path
+    m = graph_metrics(names, links)
+    assert m.connected_components == len(names) - size - second + 2
+    assert m.diameter_of_largest_component == oracles.bf_diameter_of_largest(
+        names, links
+    )
+
+
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
 def test_articulation_point_removal_splits(seed):

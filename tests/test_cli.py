@@ -227,17 +227,26 @@ def test_commands_are_deterministic(runner):
         b'{"format_version": "1", "layers": ["\xff\xfe"]}',
         b"[" * 100_000 + b"]" * 100_000,
         b"[" + b"1" * 5000 + b"]",
+        # Well-formed but for the name "c\ud800", which cannot be printed as UTF-8.
+        (FIXTURES / "ap.mln.json").read_bytes().replace(b'"cl"', b'"c\\ud800"'),
     ],
-    ids=["non-utf8", "deep-nesting", "long-integer"],
+    ids=["non-utf8", "deep-nesting", "long-integer", "lone-surrogate"],
 )
 def test_unreadable_document_exits_2(runner, tmp_path, content):
     doc = tmp_path / "bad.mln.json"
     doc.write_bytes(content)
-    result = runner.invoke(main, ["validate", str(doc)])
-    assert result.exit_code == 2
-    assert result.exception is None or isinstance(result.exception, SystemExit)
-    lines = result.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    for command in (
+        ["validate"],
+        ["metrics"],
+        ["simulate", "--exhaustive"],
+        ["export"],
+        ["decompose", "--layer", "1"],
+    ):
+        result = runner.invoke(main, [command[0], str(doc), *command[1:]])
+        assert result.exit_code == 2, command
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), command
 
 
 def test_cli_import_leaves_out_numeric_packages():

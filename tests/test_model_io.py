@@ -147,6 +147,29 @@ def test_overlong_integer_literal_is_a_syntax_error():
     assert exc.value.position == "$"
 
 
+@pytest.mark.parametrize(
+    "old, new, position",
+    [
+        ('"name": "cl"', '"name": "c\\ud800"', "$.layers[0].components[2].name"),
+        ('["wired"]', '["wi\\udfffred"]', "$.layers[0].components[1].protocols[0]"),
+        ('"links"', '"attributes": {"\\ud800": 1}, "links"', "$.layers[0].attributes"),
+    ],
+    ids=["name", "protocol", "object-key"],
+)
+def test_lone_surrogate_is_rejected_at_its_path(fixtures_dir, old, new, position):
+    text = read(fixtures_dir, "ap.mln.json").replace(old, new, 1)
+    with pytest.raises(ModelParseError) as exc:
+        parse_model(text)
+    assert exc.value.position == position
+
+
+def test_escaped_surrogate_pairs_and_backslashes_are_text(fixtures_dir):
+    text = read(fixtures_dir, "ap.mln.json")
+    for name in ("c\\ud83d\\ude00", "c\\\\ud800"):  # an emoji; a literal backslash
+        doc = parse_model(text.replace('"cl"', f'"{name}"'))
+        assert json.loads(f'"{name}"') in doc.network.layer(1).component_names
+
+
 def test_all_parse_errors_carry_positions():
     bad_docs = [
         "",
