@@ -5,11 +5,11 @@ failure (articulation points and bridges)."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from dataclasses import dataclass, replace
+from typing import Mapping, Sequence
 
 from . import multiplex
-from .graphutil import int_component_labels
+from .graphutil import cut_points
 from .model import Layer, Link, MultilayerNetwork
 
 # BFS sources per chunk; a chunk holds their trees as chunk * n int32 predecessors.
@@ -31,7 +31,7 @@ class LayerMetrics:
     bridges: tuple[Link, ...]
 
 
-def _diameter(n: int, pairs: list[tuple[int, int]], sources: list[int]) -> int:
+def _diameter(n: int, pairs: Sequence[tuple[int, int]], sources: list[int]) -> int:
     """Largest finite BFS distance from `sources` in the graph `0..n-1`.
     Each source gets one BFS tree in compiled code; the last node of its BFS
     order is a farthest one, and its depth is found by following the tree's
@@ -62,93 +62,40 @@ def _diameter(n: int, pairs: list[tuple[int, int]], sources: list[int]) -> int:
     return best
 
 
-def _cut_points(adj: list[list[int]]) -> tuple[set[int], list[tuple[int, int]]]:
-    """Articulation points and bridges `(low id, high id)` of a simple graph,
-    by one iterative lowlink DFS (Tarjan), so deep graphs need no recursion."""
-    disc = [-1] * len(adj)
-    low = [0] * len(adj)
-    cut: set[int] = set()
-    bridges: list[tuple[int, int]] = []
-    clock = 0
-    for root in range(len(adj)):
-        if disc[root] >= 0:
-            continue
-        disc[root] = low[root] = clock
-        clock += 1
-        root_children = 0
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            v, parent, todo = stack[-1]
-            for w in todo:
-                if disc[w] < 0:
-                    disc[w] = low[w] = clock
-                    clock += 1
-                    stack.append((w, v, iter(adj[w])))
-                    break
-                if w != parent:
-                    low[v] = min(low[v], disc[w])
-            else:
-                stack.pop()
-                if parent < 0:
-                    continue
-                low[parent] = min(low[parent], low[v])
-                if low[v] > disc[parent]:
-                    bridges.append((min(parent, v), max(parent, v)))
-                if parent == root:
-                    root_children += 1
-                elif low[v] >= disc[parent]:
-                    cut.add(parent)
-        if root_children > 1:
-            cut.add(root)
-    return cut, bridges
-
-
-def graph_metrics(nodes: Iterable[str], links: Iterable[Link]) -> LayerMetrics:
-    """Metrics of an undirected simple graph given by name lists. When two
-    components tie for largest, the one holding the smallest name counts."""
-    names = sorted(set(nodes))
-    index = {name: i for i, name in enumerate(names)}
-    pairs = sorted(
-        {(min(i, j), max(i, j)) for i, j in ((index[a], index[b]) for a, b in links)}
-    )
-    n, m = len(names), len(pairs)
-    adj: list[list[int]] = [[] for _ in names]
-    for a, b in pairs:
-        adj[a].append(b)
-        adj[b].append(a)
-
-    labels = int_component_labels(n, pairs)
-    sizes = Counter(labels)
+def layer_metrics(layer: Layer) -> LayerMetrics:
+    """Metrics of a layer as an undirected simple graph, read from
+    `layer.graph`. When two components tie for largest, the one holding the
+    smallest name counts."""
+    graph = layer.graph
+    n, m = len(graph.incident), len(graph.links)
+    degrees = list(map(len, graph.incident))
+    sizes = graph.sizes
     # Labels follow each component's lowest id, i.e. its smallest name.
     largest = min(sizes, key=lambda c: (-sizes[c], c), default=-1)
-    members = [i for i in range(n) if labels[i] == largest]
-    cut, bridges = _cut_points(adj)
+    members = [i for i, label in enumerate(graph.labels) if label == largest]
+    cut, bridges = cut_points(graph)
     return LayerMetrics(
         node_count=n,
         link_count=m,
         density=(2.0 * m / (n * (n - 1))) if n >= 2 else 0.0,
-        degree_min=min(map(len, adj), default=0),
+        degree_min=min(degrees, default=0),
         degree_mean=(2.0 * m / n) if n else 0.0,
-        degree_max=max(map(len, adj), default=0),
+        degree_max=max(degrees, default=0),
         connected_components=len(sizes),
         largest_component_fraction=(len(members) / n) if n else 0.0,
         diameter_of_largest_component=(
-            _diameter(n, pairs, members) if len(members) > 1 else 0
+            _diameter(n, graph.links, members) if len(members) > 1 else 0
         ),
-        articulation_points=tuple(names[i] for i in sorted(cut)),
-        bridges=tuple((names[a], names[b]) for a, b in sorted(bridges)),
+        articulation_points=tuple(layer.components[i].name for i in sorted(cut)),
+        bridges=tuple(layer.links[j] for j in sorted(bridges)),
     )
-
-
-def layer_metrics(layer: Layer) -> LayerMetrics:
-    return graph_metrics(layer.component_names, layer.links)
 
 
 def sublayer_metrics(layer: Layer) -> dict[str, LayerMetrics]:
     """Metrics per protocol sub-layer, computed over the full layer vertex
     set so protocol reachability gaps show up as extra components."""
     return {
-        sub.protocol: graph_metrics(layer.component_names, sub.links)
+        sub.protocol: layer_metrics(replace(layer, links=sub.links))
         for sub in multiplex.decompose_layer(layer)
     }
 

@@ -8,12 +8,19 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
 from . import analysis, consistency, faults, model_io, multiplex
 from .model import ComponentId, Mode
 from .model_io import ModelDocument, ModelParseError, ModelSyntaxError
+
+
+def _usage_error(message: str) -> NoReturn:
+    """Print one `error:` line and exit 2 (bad usage or input)."""
+    click.echo(f"error: {message}", err=True)
+    sys.exit(2)
 
 
 def _read(path: str) -> str:
@@ -29,8 +36,7 @@ def _load(path: str, mode: str | None) -> ModelDocument:
     try:
         return model_io.parse_model(_read(path), mode)
     except (OSError, ModelParseError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        _usage_error(str(exc))
 
 
 mode_option = click.option(
@@ -78,8 +84,7 @@ def decompose(model: str, layer_index: int, mode: str | None) -> None:
     try:
         layer = doc.network.layer(layer_index)
     except KeyError as exc:
-        click.echo(f"error: {exc.args[0]}", err=True)
-        sys.exit(2)
+        _usage_error(exc.args[0])
     for sub in multiplex.decompose_layer(layer):
         links = ", ".join(f"({a}, {b})" for a, b in sub.links)
         click.echo(f"protocol {sub.protocol}: {links}")
@@ -104,8 +109,7 @@ def metrics(model: str, layer_index: int | None, mode: str | None, fmt: str) -> 
         try:
             layers = [doc.network.layer(layer_index)]
         except KeyError as exc:
-            click.echo(f"error: {exc.args[0]}", err=True)
-            sys.exit(2)
+            _usage_error(exc.args[0])
     else:
         layers = list(doc.network.layers)
     bundle = {layer.index: analysis.layer_metrics(layer) for layer in layers}
@@ -143,8 +147,7 @@ def simulate(
     """Fault-injection cascade simulation."""
     chosen = sum(x is not None for x in (fail_spec, scenario_name)) + int(exhaustive)
     if chosen != 1:
-        click.echo("error: pass exactly one of --fail, --scenario, --exhaustive", err=True)
-        sys.exit(2)
+        _usage_error("pass exactly one of --fail, --scenario, --exhaustive")
     doc = _load(model, mode)
 
     if exhaustive:
@@ -156,14 +159,13 @@ def simulate(
         if scenario_name is not None:
             scenario = doc.scenario(scenario_name)
         else:
-            nodes = [
-                _parse_node_spec(s) for s in fail_spec.split(",") if s.strip()
-            ]
+            nodes = [_parse_node_spec(s) for s in fail_spec.split(",") if s.strip()]
+            if not nodes:
+                _usage_error("--fail names no node")
             scenario = faults.FaultScenario.of(nodes, label=f"fail {fail_spec}")
         result = faults.run_cascade(doc.network, scenario)
     except (faults.UnknownScenarioElement, KeyError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        _usage_error(exc.args[0])
     click.echo(model_io.emit_report(result, fmt), nl=False)
 
 
@@ -187,8 +189,7 @@ def export(model: str, view: str, output: str | None, mode: str | None) -> None:
         try:
             Path(output).write_text(dot)
         except OSError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
+            _usage_error(str(exc))
 
 
 if __name__ == "__main__":

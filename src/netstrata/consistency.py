@@ -75,9 +75,8 @@ def supporters(network: MultilayerNetwork, component: ComponentId) -> set[Compon
         )
     network.cross_layer(component.layer_index)  # KeyError above the top layer
     k = component.layer_index - 1
-    sub = network.substrate[k]
-    up = sub.index.get(component.local_name)
-    lows = sub.supporters[up] if up is not None else ()
+    up = network.layers[k].node_ids.get(component.local_name)
+    lows = network.substrate[k].supporters[up] if up is not None else ()
     below = network.layers[k - 1].components
     return {ComponentId(k, below[low].name) for low in lows}
 

@@ -8,16 +8,14 @@ connected in the layer below. Propagation iterates to a fixed point.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .graphutil import int_component_labels
+from .graphutil import Graph, int_component_labels
 from .model import (
     ComponentId,
     LayerRole,
-    LayerSubstrate,
     Link,
     MultilayerNetwork,
     canonical_link,
@@ -70,29 +68,14 @@ class CascadeResult:
         return len(self.final_failed_nodes)
 
 
-def _check_scenario(network: MultilayerNetwork, scenario: FaultScenario) -> None:
-    substrate, layers = network.substrate, network.layers
-    for node in scenario.failed_nodes:
-        if not 1 <= node.layer_index <= len(substrate):
-            raise UnknownScenarioElement(f"no layer {node.layer_index} for node {node}")
-        if node.local_name not in substrate[node.layer_index - 1].index:
-            raise UnknownScenarioElement(f"unknown component {node}")
-    for idx, link in scenario.failed_links:
-        if not 1 <= idx <= len(layers):
-            raise UnknownScenarioElement(f"no layer {idx} for link {link}")
-        # Membership first: a malformed link must not reach `bisect_left`.
-        if link not in layers[idx - 1].link_set:
-            raise UnknownScenarioElement(f"unknown link {link} on layer {idx}")
-
-
-def _labels(sub: LayerSubstrate, failed: bytearray, inactive: bytearray) -> list[int]:
+def _labels(graph: Graph, failed: bytearray, inactive: bytearray) -> list[int]:
     """Component labels of a layer restricted to survivors and active links;
     failed nodes get -1."""
     return int_component_labels(
         len(failed),
         [
             (a, b)
-            for j, (a, b) in enumerate(sub.links)
+            for j, (a, b) in enumerate(graph.links)
             if not inactive[j] and not failed[a] and not failed[b]
         ],
         failed,
@@ -113,26 +96,35 @@ def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeR
     round 1, which also inactivates the links unsupported with nothing
     failed, since removing elements never connects anything.
     """
-    _check_scenario(network, scenario)
     substrate, layers = network.substrate, network.layers
-    depth = len(substrate)
-    failed = [bytearray(len(sub.index)) for sub in substrate]
-    inactive = [bytearray(len(sub.links)) for sub in substrate]
-    new_nodes: list[set[int]] = [set() for _ in substrate]
+    graphs = [layer.graph for layer in layers]
+    depth = len(layers)
+    failed = [bytearray(len(layer.components)) for layer in layers]
+    inactive = [bytearray(len(layer.links)) for layer in layers]
+    new_nodes: list[set[int]] = [set() for _ in layers]
     changed = [False] * depth
     for node in scenario.failed_nodes:
+        if not 1 <= node.layer_index <= depth:
+            raise UnknownScenarioElement(f"no layer {node.layer_index} for node {node}")
         k = node.layer_index - 1
-        i = substrate[k].index[node.local_name]
+        i = layers[k].node_ids.get(node.local_name)
+        if i is None:
+            raise UnknownScenarioElement(f"unknown component {node}")
         failed[k][i] = 1
         new_nodes[k].add(i)
         changed[k] = True
     for idx, link in scenario.failed_links:
-        inactive[idx - 1][bisect_left(layers[idx - 1].links, link)] = 1
+        if not 1 <= idx <= depth:
+            raise UnknownScenarioElement(f"no layer {idx} for link {link}")
+        j = layers[idx - 1].link_ids.get(link)
+        if j is None:
+            raise UnknownScenarioElement(f"unknown link {link} on layer {idx}")
+        inactive[idx - 1][j] = 1
         changed[idx - 1] = True
     rounds: list[CascadeRound] = []
 
     while True:
-        round_nodes: list[set[int]] = [set() for _ in substrate]
+        round_nodes: list[set[int]] = [set() for _ in layers]
         for k in range(1, depth):
             up_failed, low_failed = failed[k], failed[k - 1]
             supporters = substrate[k].supporters
@@ -142,13 +134,13 @@ def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeR
                         round_nodes[k].add(d)
 
         round_links: list[set[int]] = []
-        for k, sub in enumerate(substrate):
+        for k, (sub, graph) in enumerate(zip(substrate, graphs)):
             dead = inactive[k]
-            hit = {j for i in new_nodes[k] for j in sub.incident[i] if not dead[j]}
+            hit = {j for i in new_nodes[k] for j in graph.incident[i] if not dead[j]}
             if k and changed[k - 1]:
-                below = _labels(substrate[k - 1], failed[k - 1], inactive[k - 1])
+                below = _labels(graphs[k - 1], failed[k - 1], inactive[k - 1])
                 supporters = sub.supporters
-                for j, (a, b) in enumerate(sub.links):
+                for j, (a, b) in enumerate(graph.links):
                     if dead[j] or j in hit:
                         continue
                     comps_a = {below[s] for s in supporters[a] if below[s] >= 0}
@@ -187,9 +179,9 @@ def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeR
         total = len(layer.components)
         survivors = total - failed[k].count(1)
         if survivors == total and 1 not in inactive[k]:
-            largest = substrate[k].largest_component
+            largest = max(graphs[k].sizes.values())
         else:
-            labels = _labels(substrate[k], failed[k], inactive[k])
+            labels = _labels(graphs[k], failed[k], inactive[k])
             sizes = Counter(label for label in labels if label >= 0)
             largest = max(sizes.values(), default=0)
         survival[layer.index] = survivors / total

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -51,3 +54,74 @@ def component_labels(
         len(index), [(index[a], index[b]) for a, b in links]
     )
     return dict(zip(index, labels))
+
+
+@dataclass(frozen=True)
+class Graph:
+    """An undirected simple graph on nodes `0..n-1`, compiled once."""
+
+    links: tuple[tuple[int, int], ...]
+    incident: Sequence[Sequence[int]]  # link ids per node
+    labels: Sequence[int]  # from `int_component_labels`
+
+    @staticmethod
+    def of(n: int, links: Iterable[tuple[int, int]]) -> "Graph":
+        links = tuple(links)
+        incident: list[list[int]] = [[] for _ in range(n)]
+        for j, (a, b) in enumerate(links):
+            incident[a].append(j)
+            incident[b].append(j)
+        return Graph(links, incident, int_component_labels(n, links))
+
+    @cached_property
+    def sizes(self) -> dict[int, int]:
+        """Node count per component label."""
+        return Counter(self.labels)
+
+
+def cut_points(graph: Graph) -> tuple[set[int], list[int]]:
+    """Articulation points (node ids) and bridges (link ids) of `graph`, by
+    one iterative lowlink DFS (Tarjan), so deep graphs need no recursion."""
+    links, incident = graph.links, graph.incident
+    n = len(incident)
+    disc = [-1] * n
+    low = [0] * n
+    cut: set[int] = set()
+    bridges: list[int] = []
+    clock = 0
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        root_children = 0
+        # (node, link id it was reached by, its incident links still to walk)
+        stack = [(root, -1, iter(incident[root]))]
+        while stack:
+            v, via, todo = stack[-1]
+            for j in todo:
+                if j == via:
+                    continue
+                a, b = links[j]
+                w = b if a == v else a
+                if disc[w] < 0:
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    stack.append((w, j, iter(incident[w])))
+                    break
+                low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if via < 0:
+                    continue
+                parent = stack[-1][0]
+                low[parent] = min(low[parent], low[v])
+                if low[v] > disc[parent]:
+                    bridges.append(via)
+                if parent == root:
+                    root_children += 1
+                elif low[v] >= disc[parent]:
+                    cut.add(parent)
+        if root_children > 1:
+            cut.add(root)
+    return cut, bridges

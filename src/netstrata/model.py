@@ -8,13 +8,12 @@ structurally equal networks compare equal with `==`.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .graphutil import int_component_labels
+from .graphutil import Graph
 
 
 class ModelError(ValueError):
@@ -180,8 +179,21 @@ class Layer:
         return frozenset(c.name for c in self.components)
 
     @cached_property
-    def link_set(self) -> frozenset[Link]:
-        return frozenset(self.links)
+    def link_ids(self) -> dict[Link, int]:
+        """Position of each link in `links`."""
+        return {link: j for j, link in enumerate(self.links)}
+
+    @cached_property
+    def node_ids(self) -> dict[str, int]:
+        """Position of each component in `components`: its node id in `graph`."""
+        return {c.name: i for i, c in enumerate(self.components)}
+
+    @cached_property
+    def graph(self) -> Graph:
+        """The layer's links compiled once to node ids; link `j` is `links[j]`.
+        This is the only code that maps a layer's links to ids."""
+        ids = self.node_ids
+        return Graph.of(len(ids), [(ids[a], ids[b]) for a, b in self.links])
 
     @cached_property
     def link_protocols(self) -> tuple[frozenset[str], ...]:
@@ -226,17 +238,12 @@ class FlatGraph:
 
 @dataclass(frozen=True)
 class LayerSubstrate:
-    """Integer-indexed view of one layer: node `i` is `Layer.components[i]`
-    and link `j` is `Layer.links[j]`. Built once and never mutated."""
+    """What joins one layer to its neighbours, on the node ids of
+    `Layer.graph`. Built once and never mutated."""
 
-    index: Mapping[str, int]
-    links: tuple[tuple[int, int], ...]
-    incident: Sequence[Sequence[int]]  # link ids per node
     supporters: Sequence[Sequence[int]]  # node ids one layer below
     dependents: Sequence[Sequence[int]]  # node ids one layer above
-    labels: Sequence[int]  # component labels with nothing failed
     unsupported: Sequence[int]  # links with no supporter pair connected below
-    largest_component: int  # node count of the largest component in `labels`
 
 
 @dataclass(frozen=True)
@@ -254,7 +261,7 @@ class MultilayerNetwork:
 
     @cached_property
     def substrate(self) -> tuple[LayerSubstrate, ...]:
-        """The network compiled once into integer tables, bottom layer first."""
+        """The tables joining adjacent layers, compiled once, bottom layer first."""
         return _compile_substrate(self)
 
     def layer(self, index: int) -> Layer:
@@ -296,47 +303,27 @@ class MultilayerNetwork:
 
 
 def _compile_substrate(network: MultilayerNetwork) -> tuple[LayerSubstrate, ...]:
-    indices = [
-        {c.name: i for i, c in enumerate(layer.components)} for layer in network.layers
-    ]
-    supporters: list[list[list[int]]] = [[[] for _ in ix] for ix in indices]
-    dependents: list[list[list[int]]] = [[[] for _ in ix] for ix in indices]
+    layers = network.layers
+    supporters: list[list[list[int]]] = [[[] for _ in l.components] for l in layers]
+    dependents: list[list[list[int]]] = [[[] for _ in l.components] for l in layers]
     for cross in network.cross_layers:
         k = cross.upper_index - 1
-        upper_ix, lower_ix = indices[k], indices[k - 1]
+        upper_ix, lower_ix = layers[k].node_ids, layers[k - 1].node_ids
         for up, low in cross.projections:
             u, l = upper_ix[up], lower_ix[low]
             supporters[k][u].append(l)
             dependents[k - 1][l].append(u)
 
     out: list[LayerSubstrate] = []
-    for k, layer in enumerate(network.layers):
-        index = indices[k]
-        links = tuple((index[a], index[b]) for a, b in layer.links)
-        incident: list[list[int]] = [[] for _ in index]
-        for j, (a, b) in enumerate(links):
-            incident[a].append(j)
-            incident[b].append(j)
+    for k, layer in enumerate(layers):
         unsupported: list[int] = []
         if k:
-            below = out[k - 1].labels
+            below = layers[k - 1].graph.labels
             sup = supporters[k]
-            for j, (a, b) in enumerate(links):
+            for j, (a, b) in enumerate(layer.graph.links):
                 if {below[s] for s in sup[a]}.isdisjoint([below[s] for s in sup[b]]):
                     unsupported.append(j)
-        labels = int_component_labels(len(index), links)
-        out.append(
-            LayerSubstrate(
-                index=index,
-                links=links,
-                incident=incident,
-                supporters=supporters[k],
-                dependents=dependents[k],
-                labels=labels,
-                unsupported=unsupported,
-                largest_component=max(Counter(labels).values()),
-            )
-        )
+        out.append(LayerSubstrate(supporters[k], dependents[k], unsupported))
     return tuple(out)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import asdict, dataclass
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from . import multiplex
 from .consistency import ValidationReport
@@ -25,6 +25,7 @@ from .model import (
     DanglingLinkEndpoint,
     Layer,
     LayerRole,
+    Link,
     Mode,
     ModelError,
     MultilayerNetwork,
@@ -230,7 +231,7 @@ def _parse_scenario(obj: Any, layers: tuple[Layer, ...], path: str) -> FaultScen
         if not 1 <= layer <= len(layers):
             raise DanglingReferenceError(f"no layer {layer}", f"{lpath}.layer")
         a, b = _string_pair(entry["link"], f"{lpath}.link")
-        if canonical_link(a, b) not in layers[layer - 1].link_set:
+        if canonical_link(a, b) not in layers[layer - 1].link_ids:
             raise DanglingReferenceError(
                 f"no link ({a!r}, {b!r}) on layer {layer}", f"{lpath}.link"
             )
@@ -367,48 +368,39 @@ def export_dot(network: MultilayerNetwork, view: str = "flatten") -> str:
     if view not in ("flatten", "layers", "sublayers"):
         raise ValueError(f"unknown view {view!r}")
     lines = ["graph multilayer {"]
-    if view in ("flatten", "layers"):
-        for layer in network.layers:
-            lines.append(f"  subgraph cluster_layer_{layer.index} {{")
-            lines.append(f"    label={_dot_quote(f'L{layer.index} ({layer.role.value})')};")
-            for comp in layer.components:
-                node_id = f"{layer.index}/{comp.name}"
-                lines.append(
-                    f"    {_dot_quote(node_id)} [label={_dot_quote(comp.name)}];"
-                )
-            for a, b in layer.links:
-                lines.append(
-                    f"    {_dot_quote(f'{layer.index}/{a}')} -- "
-                    f"{_dot_quote(f'{layer.index}/{b}')};"
-                )
-            lines.append("  }")
-        if view == "flatten":
-            for cross in network.cross_layers:
-                for up, low in cross.projections:
-                    lines.append(
-                        f"  {_dot_quote(f'{cross.upper_index}/{up}')} -- "
-                        f"{_dot_quote(f'{cross.upper_index - 1}/{low}')} [style=dashed];"
-                    )
-    else:
-        for layer in network.layers:
+
+    def cluster(
+        name: str, label: str, prefix: str, nodes: Iterable[str], links: Iterable[Link]
+    ) -> None:
+        """One cluster; node ids are `prefix` + component name."""
+        lines.append(f"  subgraph {name} {{")
+        lines.append(f"    label={_dot_quote(label)};")
+        for node in nodes:
+            lines.append(f"    {_dot_quote(prefix + node)} [label={_dot_quote(node)}];")
+        for a, b in links:
+            lines.append(f"    {_dot_quote(prefix + a)} -- {_dot_quote(prefix + b)};")
+        lines.append("  }")
+
+    for layer in network.layers:
+        if view == "sublayers":
             for sub in multiplex.decompose_layer(layer):
-                cluster = f"cluster_layer_{layer.index}_{sub.protocol}"
-                lines.append(f"  subgraph {_dot_quote(cluster)} {{")
-                lines.append(
-                    f"    label={_dot_quote(f'L{layer.index}:{sub.protocol}')};"
+                cluster(
+                    _dot_quote(f"cluster_layer_{layer.index}_{sub.protocol}"),
+                    f"L{layer.index}:{sub.protocol}", f"{layer.index}/{sub.protocol}/",
+                    sorted({n for link in sub.links for n in link}), sub.links,
                 )
-                names = sorted({n for link in sub.links for n in link})
-                for name in names:
-                    node_id = f"{layer.index}/{sub.protocol}/{name}"
-                    lines.append(
-                        f"    {_dot_quote(node_id)} [label={_dot_quote(name)}];"
-                    )
-                for a, b in sub.links:
-                    lines.append(
-                        f"    {_dot_quote(f'{layer.index}/{sub.protocol}/{a}')} -- "
-                        f"{_dot_quote(f'{layer.index}/{sub.protocol}/{b}')};"
-                    )
-                lines.append("  }")
+        else:
+            cluster(
+                f"cluster_layer_{layer.index}", f"L{layer.index} ({layer.role.value})",
+                f"{layer.index}/", [c.name for c in layer.components], layer.links,
+            )
+    if view == "flatten":
+        for cross in network.cross_layers:
+            for up, low in cross.projections:
+                lines.append(
+                    f"  {_dot_quote(f'{cross.upper_index}/{up}')} -- "
+                    f"{_dot_quote(f'{cross.upper_index - 1}/{low}')} [style=dashed];"
+                )
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -1,11 +1,10 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from netstrata.analysis import (
-    graph_metrics,
     interlayer_degree_stats,
     layer_metrics,
     sublayer_metrics,
@@ -158,7 +157,7 @@ def test_long_path_needs_no_recursion():
     names = [f"v{i:04d}" for i in range(n)]
     # both ends sort mid-way, so the diameter shows only from a middle chunk
     path = names[n // 2 :] + names[: n // 2]
-    m = graph_metrics(names, list(zip(path, path[1:])))
+    m = layer_metrics(layer(1, [comp(x) for x in names], list(zip(path, path[1:]))))
     assert len(m.articulation_points) == n - 2
     assert len(m.bridges) == n - 1
     assert m.diameter_of_largest_component == n - 1
@@ -178,7 +177,11 @@ def _random_tree(rng, names):
     size=st.integers(257, 700),
     shape=st.sampled_from([_ring_with_chords, _random_tree]),
 )
-@settings(max_examples=25, deadline=None)
+# No shrinking: each shrink step reruns the O(n(n+m)) oracle on hundreds of
+# nodes, so a broken diameter would stall the run for minutes.
+@settings(
+    max_examples=25, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate)
+)
 def test_diameter_spanning_several_chunks_matches_brute_force(seed, size, shape):
     # The largest component holds more sources than one diameter chunk (256).
     rng = random.Random(seed)
@@ -187,7 +190,7 @@ def test_diameter_spanning_several_chunks_matches_brute_force(seed, size, shape)
     rng.shuffle(names)  # so chunks mix nodes from every part of both shapes
     big, small = names[:size], names[size : size + second]
     links = shape(rng, big) + list(zip(small, small[1:]))  # the second is a path
-    m = graph_metrics(names, links)
+    m = layer_metrics(layer(1, [comp(x) for x in names], links))
     assert m.connected_components == len(names) - size - second + 2
     assert m.diameter_of_largest_component == oracles.bf_diameter_of_largest(
         names, links
@@ -221,8 +224,8 @@ def test_metrics_invariant_under_relabeling(seed):
     names = sorted(l.component_names)
     mapping = {n: f"z{i}" for i, n in enumerate(rng.sample(names, len(names)))}
     renamed_links = [(mapping[a], mapping[b]) for a, b in l.links]
-    a = graph_metrics(names, l.links)
-    b = graph_metrics(mapping.values(), renamed_links)
+    a = layer_metrics(l)
+    b = layer_metrics(layer(1, [comp(x) for x in mapping.values()], renamed_links))
     for field in (
         "node_count",
         "link_count",

@@ -113,6 +113,12 @@ def test_metrics_single_layer_machine(runner):
     assert payload["layers"]["1"]["node_count"] == 2
 
 
+def test_metrics_bad_layer(runner):
+    result = runner.invoke(main, ["metrics", fx("basic_stack.mln.json"), "--layer", "9"])
+    assert result.exit_code == 2
+    assert result.stderr == "error: no layer with index 9\n"
+
+
 def test_simulate_fail_single(runner):
     result = runner.invoke(
         main, ["simulate", fx("dual_homed.mln.json"), "--fail", "p1"]
@@ -145,6 +151,44 @@ def test_simulate_unknown_node(runner):
         main, ["simulate", fx("dual_homed.mln.json"), "--fail", "ghost"]
     )
     assert result.exit_code == 2
+
+
+def test_simulate_layer_qualified_node(runner):
+    result = runner.invoke(
+        main, ["simulate", fx("dual_homed.mln.json"), "--fail", "2/s"]
+    )
+    assert result.exit_code == 0
+    assert "1 nodes failed in 0 rounds, functional layer DOWN" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--fail", "x/p1"], "bad node spec 'x/p1'"),
+        (["--fail", "9/p1"], "no layer 9 for node 9/p1"),
+        (["--fail", ","], "--fail names no node"),
+        (["--scenario", "nope"], "no scenario named 'nope'"),
+    ],
+    ids=["malformed-spec", "bad-layer", "no-node", "unknown-scenario"],
+)
+def test_simulate_bad_scenario_exits_2_with_one_line(runner, args, message):
+    result = runner.invoke(main, ["simulate", fx("dual_homed.mln.json"), *args])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {message}\n"
+
+
+def test_simulate_failed_links_scenario(runner, tmp_path):
+    doc = json.loads((FIXTURES / "dual_homed.mln.json").read_text())
+    doc["scenarios"] = [{"label": "cut", "failed_links": [{"layer": 1, "link": ["p2", "p1"]}]}]
+    path = tmp_path / "cut.mln.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(
+        main, ["simulate", str(path), "--scenario", "cut", "--format", "machine"]
+    )
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["final_inactive_links"] == [[1, ["p1", "p2"]]]
+    assert payload["per_layer_largest_component_fraction"]["1"] == 0.5
 
 
 def test_simulate_exhaustive(runner):

@@ -205,6 +205,20 @@ def test_validate_counts_injected_defects():
     assert kinds == ["uncovered-link", "unsupported-node"]
 
 
+def test_validate_relaxed_uncovered_link_is_warning_only():
+    net = build_network(
+        [layer(1, [comp("h1", ["p1"]), comp("h2", ["p2"])], [("h1", "h2")])],
+        mode=Mode.RELAXED,
+    )
+    report = validate(net)
+    assert report.passed
+    assert report.warnings == (
+        "link (h1, h2) on layer 1 has no protocol shared by both endpoints",
+        "layer 1: protocol 'p1' induces no links",
+        "layer 1: protocol 'p2' induces no links",
+    )
+
+
 def test_validate_relaxed_empty_links_is_warning_only():
     net = build_network(
         [layer(1, [comp("only")], [])],

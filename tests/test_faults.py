@@ -105,12 +105,14 @@ def test_injected_link_failure_counts_as_inactive(dual_homed_network):
 
 
 def test_unknown_scenario_element(dual_homed_network):
-    with pytest.raises(UnknownScenarioElement):
+    with pytest.raises(UnknownScenarioElement, match=r"^unknown component 1/ghost$"):
         run_cascade(dual_homed_network, FaultScenario.of([cid(1, "ghost")]))
-    with pytest.raises(UnknownScenarioElement):
+    with pytest.raises(UnknownScenarioElement, match=r"^no layer 9 for node 9/p1$"):
+        run_cascade(dual_homed_network, FaultScenario.of([cid(9, "p1")]))
+    with pytest.raises(UnknownScenarioElement, match=r"^no layer 9 for link \('p1', 'p2'\)$"):
         run_cascade(dual_homed_network, FaultScenario.of(links=[(9, ("p1", "p2"))]))
     for link in [("p1", "ghost"), (1, 2)]:
-        with pytest.raises(UnknownScenarioElement):
+        with pytest.raises(UnknownScenarioElement, match=r"^unknown link .* on layer 1$"):
             run_cascade(dual_homed_network, FaultScenario.of(links=[(1, link)]))
 
 

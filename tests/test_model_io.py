@@ -323,6 +323,20 @@ STRUCTURAL_ERRORS = [
      "$.layers[1].links", ModelParseError),
     ("strict-empty-projections", lambda d: d["cross_layers"][0].update(projections=[]),
      "$.cross_layers[0].projections", ModelParseError),
+    ("non-string-attribute",
+     lambda d: d["layers"][0]["components"][0].update(attributes={"rack": 3}),
+     "$.layers[0].components[0].attributes.rack", ModelParseError),
+    ("scenario-link-bad-layer", lambda d: d.update(
+        scenarios=[{"label": "x", "failed_links": [{"layer": 3, "link": ["a", "b"]}]}]),
+     "$.scenarios[0].failed_links[0].layer", DanglingReferenceError),
+    ("scenario-unknown-link", lambda d: d.update(
+        scenarios=[{"label": "x", "failed_links": [{"layer": 2, "link": ["a", "b"]}]}]),
+     "$.scenarios[0].failed_links[0].link", DanglingReferenceError),
+    ("scenario-node-bad-layer", lambda d: d.update(
+        scenarios=[{"label": "x", "failed_nodes": [{"layer": 0, "name": "a"}]}]),
+     "$.scenarios[0].failed_nodes[0].layer", DanglingReferenceError),
+    ("duplicate-scenario-label", lambda d: d.update(scenarios=[{"label": "x"}, {"label": "x"}]),
+     "$.scenarios[1].label", ModelParseError),
 ]
 
 
@@ -372,3 +386,17 @@ def test_mode_argument_overrides_the_declared_mode(fixtures_dir):
     with pytest.raises(ModelParseError) as exc:
         parse_model(strict.replace('"mode": "strict"', '"mode": "lenient"', 1), "strict")
     assert exc.value.position == "$.mode"
+
+
+def test_failed_links_scenario_round_trips():
+    doc = _two_layer_doc()
+    # a reversed pair names the same undirected link
+    doc["scenarios"] = [{"label": "cut", "failed_links": [{"layer": 1, "link": ["b", "a"]}]}]
+    parsed = parse_model(json.dumps(doc))
+    assert parsed.scenario("cut").failed_links == frozenset({(1, ("a", "b"))})
+    text = serialize_model(parsed)
+    assert json.loads(text)["scenarios"] == [
+        {"label": "cut", "failed_nodes": [], "failed_links": [{"layer": 1, "link": ["a", "b"]}]}
+    ]
+    assert parse_model(text) == parsed
+    assert serialize_model(parse_model(text)) == text
