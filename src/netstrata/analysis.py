@@ -31,9 +31,13 @@ class LayerMetrics:
     bridges: tuple[Link, ...]
 
 
-def _diameter(n: int, pairs: Sequence[tuple[int, int]], sources: list[int]) -> int:
-    """Largest finite BFS distance from `sources` in the graph `0..n-1`.
-    Each source gets one BFS tree in compiled code; the last node of its BFS
+def _diameter(n: int, pairs: Sequence[tuple[int, int]], start: int) -> int:
+    """Largest finite BFS distance in the component of `start`, in the graph
+    `0..n-1`, by iFUB (Crescenzi et al., TCS 2013). Two double sweeps give a
+    lower bound and a central node `u`; then nodes are searched from the
+    fringe of `u`'s BFS tree inwards, until the bound is at least twice the
+    depth of every node left, since no two of those can be farther apart.
+    Each search is one BFS tree in compiled code; the last node of its BFS
     order is a farthest one, and its depth is found by following the tree's
     predecessors back to the source, for a whole chunk of sources at once."""
     # Only `metrics` needs scipy; importing it here keeps it out of other commands.
@@ -44,21 +48,48 @@ def _diameter(n: int, pairs: Sequence[tuple[int, int]], sources: list[int]) -> i
     rows = [a for a, _ in pairs] + [b for _, b in pairs]
     cols = [b for _, b in pairs] + [a for a, _ in pairs]
     mat = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    best = 0
-    for i in range(0, len(sources), _DIAMETER_CHUNK):
-        src = np.array(sources[i : i + _DIAMETER_CHUNK], dtype=np.int32)
-        pred = np.empty((len(src), n), dtype=np.int32)
+
+    def tree(s: int):
+        # The matrix is symmetric, so the directed BFS is the undirected one.
+        return breadth_first_order(mat, s, return_predecessors=True)
+
+    def farthest_path(s: int) -> list[int]:
+        """A shortest path from a node farthest from `s` back to `s`."""
+        order, pred = tree(s)
+        path = [int(order[-1])]
+        while path[-1] != s:
+            path.append(int(pred[path[-1]]))
+        return path
+
+    best, u = 0, start
+    for _ in range(2):
+        path = farthest_path(farthest_path(u)[0])
+        best = max(best, len(path) - 1)
+        u = path[len(path) // 2]
+
+    order, pred = tree(u)
+    depth = [0] * n
+    pred_of = pred.tolist()
+    for v in order[1:].tolist():
+        depth[v] = depth[pred_of[v]] + 1
+    fringe = order[:0:-1]  # deepest first, `u` left out
+    for i in range(0, len(fringe), _DIAMETER_CHUNK):
+        # Every node not yet searched is at most this deep, so any two of
+        # them are at most twice this far apart.
+        if best >= 2 * depth[fringe[i]]:
+            break
+        src = fringe[i : i + _DIAMETER_CHUNK]
+        preds = np.empty((len(src), n), dtype=np.int32)
         cur = np.empty_like(src)
         for row, s in enumerate(src):
-            # The matrix is symmetric, so the directed BFS is the undirected one.
-            order, pred[row] = breadth_first_order(mat, s, return_predecessors=True)
-            cur[row] = order[-1]
+            far, preds[row] = tree(s)
+            cur[row] = far[-1]
         rows_ix = np.arange(len(src))
-        depth = 0
+        ecc = 0
         while (cur != src).any():
-            cur = np.where(cur != src, pred[rows_ix, cur], cur)
-            depth += 1
-        best = max(best, depth)
+            cur = np.where(cur != src, preds[rows_ix, cur], cur)
+            ecc += 1
+        best = max(best, ecc)
     return best
 
 
@@ -72,7 +103,7 @@ def layer_metrics(layer: Layer) -> LayerMetrics:
     sizes = graph.sizes
     # Labels follow each component's lowest id, i.e. its smallest name.
     largest = min(sizes, key=lambda c: (-sizes[c], c), default=-1)
-    members = [i for i, label in enumerate(graph.labels) if label == largest]
+    size = sizes.get(largest, 0)
     cut, bridges = cut_points(graph)
     return LayerMetrics(
         node_count=n,
@@ -82,9 +113,9 @@ def layer_metrics(layer: Layer) -> LayerMetrics:
         degree_mean=(2.0 * m / n) if n else 0.0,
         degree_max=max(degrees, default=0),
         connected_components=len(sizes),
-        largest_component_fraction=(len(members) / n) if n else 0.0,
+        largest_component_fraction=(size / n) if n else 0.0,
         diameter_of_largest_component=(
-            _diameter(n, graph.links, members) if len(members) > 1 else 0
+            _diameter(n, graph.links, graph.labels.index(largest)) if size > 1 else 0
         ),
         articulation_points=tuple(layer.components[i].name for i in sorted(cut)),
         bridges=tuple(layer.links[j] for j in sorted(bridges)),

@@ -159,7 +159,8 @@ def simulate(
         if scenario_name is not None:
             scenario = doc.scenario(scenario_name)
         else:
-            nodes = [_parse_node_spec(s) for s in fail_spec.split(",") if s.strip()]
+            specs = [s.strip() for s in fail_spec.split(",")]
+            nodes = [_parse_node_spec(s) for s in specs if s]
             if not nodes:
                 _usage_error("--fail names no node")
             scenario = faults.FaultScenario.of(nodes, label=f"fail {fail_spec}")

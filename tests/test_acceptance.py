@@ -269,6 +269,8 @@ def test_criterion_8_desk_scale_performance():
     assert consistency.validate(net).passed
     bundle = {l.index: analysis.layer_metrics(l) for l in net.layers}
     assert len(bundle) == 5
+    # exact: every node of a desk layer has eccentricity 334 or 335
+    assert {m.diameter_of_largest_component for m in bundle.values()} == {335}
     result = faults.run_cascade(
         net, faults.FaultScenario.of([ComponentId(1, "n00000")])
     )

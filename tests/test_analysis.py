@@ -4,6 +4,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from netstrata import analysis
 from netstrata.analysis import (
     interlayer_degree_stats,
     layer_metrics,
@@ -152,6 +153,36 @@ def test_largest_component_tie_goes_to_smallest_name():
     assert layer_metrics(l).diameter_of_largest_component == 2
 
 
+@pytest.mark.parametrize("n", range(4, 9))
+def test_complete_graph_minus_one_link_has_diameter_2(n):
+    # Radius 1 and diameter 2: a search that stops one level early reads 1.
+    names = [f"v{i}" for i in range(n)]
+    full = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    for missing in full:
+        links = [lk for lk in full if lk != missing]
+        l = layer(1, [comp(x) for x in names], links)
+        assert layer_metrics(l).diameter_of_largest_component == 2, missing
+
+
+@pytest.mark.parametrize("chunk", [1, analysis._DIAMETER_CHUNK])
+def test_small_dense_graphs_match_brute_force(monkeypatch, chunk):
+    # Small graphs with many links put the diameter's endpoints at any depth
+    # of the central BFS tree, so each shortcut of the search shows on some.
+    # One source per chunk also checks the stop rule between every two sources.
+    monkeypatch.setattr(analysis, "_DIAMETER_CHUNK", chunk)
+    rng = random.Random(20130)
+    for _ in range(2000):
+        names = [f"v{i:02d}" for i in range(rng.randint(3, 14))]
+        p = rng.uniform(0.1, 0.6)
+        links = [
+            (a, b) for i, a in enumerate(names) for b in names[i + 1 :] if rng.random() < p
+        ]
+        m = layer_metrics(layer(1, [comp(x) for x in names], links))
+        assert m.diameter_of_largest_component == oracles.bf_diameter_of_largest(
+            names, links
+        ), (names, links)
+
+
 def test_long_path_needs_no_recursion():
     n = 2000  # deeper than the default recursion limit
     names = [f"v{i:04d}" for i in range(n)]
@@ -168,6 +199,14 @@ def _ring_with_chords(rng, names):
     return list(zip(names, names[1:] + names[:1])) + chords
 
 
+def _ring_with_offset_chords(rng, names):
+    # As in a desk layer: the radius is about the diameter, so the diameter
+    # search goes through about half the nodes, two chunks above 512 nodes.
+    n = len(names)
+    chords = [(names[i], names[(i + n // 3) % n]) for i in range(0, n, rng.randint(2, 5))]
+    return list(zip(names, names[1:] + names[:1])) + chords
+
+
 def _random_tree(rng, names):
     return [(v, names[rng.randrange(i)]) for i, v in enumerate(names) if i]
 
@@ -175,7 +214,7 @@ def _random_tree(rng, names):
 @given(
     seed=st.integers(0, 10_000),
     size=st.integers(257, 700),
-    shape=st.sampled_from([_ring_with_chords, _random_tree]),
+    shape=st.sampled_from([_ring_with_chords, _ring_with_offset_chords, _random_tree]),
 )
 # No shrinking: each shrink step reruns the O(n(n+m)) oracle on hundreds of
 # nodes, so a broken diameter would stall the run for minutes.

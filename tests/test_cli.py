@@ -137,6 +137,20 @@ def test_simulate_fail_both(runner):
     assert payload["per_layer_survival"]["2"] == 0.0
 
 
+def test_simulate_fail_accepts_spaces_after_commas(runner):
+    def run(spec):
+        args = ["simulate", fx("dual_homed.mln.json"), "--fail", spec, "--format", "machine"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload.pop("scenario") == f"fail {spec}"
+        return payload
+
+    spaced = run(" p1, p2 ")
+    assert spaced == run("p1,p2")
+    assert spaced["final_failed_nodes"] == ["1/p1", "1/p2", "2/s"]
+
+
 def test_simulate_named_scenario(runner):
     result = runner.invoke(
         main,
