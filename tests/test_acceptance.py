@@ -3,6 +3,7 @@ enforcing its runtime budget."""
 
 import json
 import random
+import re
 import string
 import time
 from itertools import permutations
@@ -206,8 +207,40 @@ def test_criterion_6_access_point_example():
     report("6 paper-ap-example", start, 5)
 
 
+# Where an integer is expected (`upper_index`, a scenario's `layer`): other
+# numbers, a bool, null, and a literal past CPython's 4300-digit int limit.
+_NOT_INTS = ("NaN", "Infinity", "-Infinity", "-0", "2e0", "true", "null", "7" * 4301)
+
+
+def mutate_token(rng, text):
+    """One token-level edit: a value the JSON grammar or the format forbids."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        spots = [m.span() for m in re.finditer(r"(?<=: )\d+", text)]
+        if spots:
+            a, b = rng.choice(spots)
+            return text[:a] + rng.choice(_NOT_INTS) + text[b:]
+        # no integer in this document: a long array instead, below
+    strings = re.findall(r'"[^"\\]*"', text)
+    if kind == 1:  # a lone surrogate or NUL escape, in one string or all its copies
+        old = rng.choice(strings)
+        new = old[0] + rng.choice(["\\ud800", "\\udfff", "\\u0000"]) + old[1:]
+        return text.replace(old, new, rng.choice([1, -1]))
+    if kind == 2:
+        return "\ufeff" + text  # a byte order mark
+    if kind == 3:  # a very long string, in one string or all its copies
+        long = '"' + "x" * rng.randint(5_000, 50_000) + '"'
+        return text.replace(rng.choice(strings), long, rng.choice([1, -1]))
+    # a very long array: the first element of some array, repeated
+    m = rng.choice(list(re.finditer(r'(?<=\[)(\["[^"\\]*", "[^"\\]*"\]|"[^"\\]*")', text)))
+    run = ", ".join([m.group()] * rng.randint(500, 2_000))
+    return text[: m.start()] + run + text[m.end() :]
+
+
 def mutate(rng, text):
-    kind = rng.randrange(6)
+    kind = rng.randrange(8)
+    if kind >= 6:
+        return mutate_token(rng, text)
     if kind == 0:
         return text[: rng.randrange(len(text))]
     if kind == 1:
@@ -260,15 +293,23 @@ def test_criterion_7_io_round_trip_and_fuzz():
     report("7 io-round-trip-fuzz", start, 60)
 
 
-def test_criterion_8_desk_scale_performance():
+def test_criterion_8_desk_scale_performance(monkeypatch):
     net = desk_model()
     flat = net.flatten()
     assert len(flat.vertices) == 10_000
     assert len(flat.edges) == 30_000
+    # A desk layer's fringe search predicts 997 * 7600 BFS visits, past the
+    # Python budget, so every layer's goes through the compiled path.
+    compiled = []
+    search = analysis._compiled_fringe_search
+    monkeypatch.setattr(
+        analysis, "_compiled_fringe_search", lambda *a: compiled.append(a[0]) or search(*a)
+    )
     start = time.perf_counter()
     assert consistency.validate(net).passed
     bundle = {l.index: analysis.layer_metrics(l) for l in net.layers}
     assert len(bundle) == 5
+    assert compiled == [2000] * 5
     # exact: every node of a desk layer has eccentricity 334 or 335
     assert {m.diameter_of_largest_component for m in bundle.values()} == {335}
     result = faults.run_cascade(

@@ -10,6 +10,8 @@ from click.testing import CliRunner
 
 import netstrata
 from netstrata.cli import main
+from netstrata.generators import desk_model
+from netstrata.model_io import FORMAT_VERSION, ModelDocument, serialize_model
 
 from .conftest import FIXTURES
 from .test_acceptance import ALL_FIXTURES, mutate
@@ -321,3 +323,50 @@ def test_cli_import_leaves_out_numeric_packages():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+# Runs `metrics` in both formats on every document named after the first
+# argument, all in one process, then prints each run and which of numpy and
+# scipy got loaded. With "blocked" as the first argument, importing either fails.
+_METRICS_CHILD = """
+import json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = sys.modules["scipy"] = None
+from click.testing import CliRunner
+from netstrata.cli import main
+runs = [
+    CliRunner().invoke(main, ["metrics", doc, "--format", fmt])
+    for doc in sys.argv[2:]
+    for fmt in ("human", "machine")
+]
+print(json.dumps({
+    "runs": [[r.exit_code, r.stdout, r.stderr] for r in runs],
+    "loaded": sorted(m for m in ("numpy", "scipy") if sys.modules.get(m)),
+}))
+"""
+
+
+def test_metrics_on_small_models_leaves_out_numeric_packages(tmp_path):
+    # Desk-shaped layers at the campaign's size (5 x 200 nodes): radius near
+    # the diameter, so the diameter searches about half of each layer.
+    campaign = tmp_path / "campaign.mln.json"
+    network = desk_model(num_layers=5, nodes_per_layer=200, chords_per_layer=80)
+    campaign.write_text(serialize_model(ModelDocument(FORMAT_VERSION, network)))
+    docs = [fx(name) for name in ALL_FIXTURES] + [str(campaign)]
+    src = str(Path(netstrata.__file__).parents[1])
+
+    def child(numeric):
+        out = subprocess.run(
+            [sys.executable, "-c", _METRICS_CHILD, numeric, *docs],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return json.loads(out.stdout)
+
+    free, blocked = child("free"), child("blocked")
+    assert free["loaded"] == []
+    assert [code for code, _, _ in free["runs"]] == [0] * 2 * len(docs)
+    assert "diameter 35" in free["runs"][-2][1]
+    assert blocked["runs"] == free["runs"]
