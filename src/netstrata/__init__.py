@@ -20,7 +20,6 @@ from .multiplex import (
     ProtocolSubLayer,
     check_cover,
     decompose_layer,
-    link_protocols,
     multiplex_multiplicity,
     unused_protocols,
 )

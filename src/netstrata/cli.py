@@ -1,11 +1,13 @@
 """Command-line front-end.
 
 Exit codes: 0 success / conforming, 1 violations found, 2 usage or parse
-error. Diagnostics go to stderr; data goes to stdout.
+error, or output that could not be written (a closed pipe, a full device).
+Diagnostics go to stderr; data goes to stdout.
 """
 
 from __future__ import annotations
 
+import contextlib
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -18,9 +20,22 @@ from .model_io import ModelDocument, ModelParseError, ModelSyntaxError
 
 
 def _usage_error(message: str) -> NoReturn:
-    """Print one `error:` line and exit 2 (bad usage or input)."""
-    click.echo(f"error: {message}", err=True)
+    """Print one `error:` line, if stderr can still be written, and exit 2."""
+    with contextlib.suppress(OSError):
+        click.echo(f"error: {message}", err=True)
     sys.exit(2)
+
+
+def _write(text: str, output: str | None = None) -> None:
+    """Write `text` to the file `output`, or to stdout. A failed write is exit
+    2, not a result, so it never reads as "violations found"."""
+    try:
+        if output is None:
+            click.echo(text, nl=False)
+        else:
+            Path(output).write_text(text)
+    except OSError as exc:
+        _usage_error(str(exc))
 
 
 def _read(path: str) -> str:
@@ -70,7 +85,7 @@ def validate(model: str, mode: str | None, fmt: str) -> None:
     """Run the top-down consistency checks."""
     doc = _load(model, mode)
     report = consistency.validate(doc.network)
-    click.echo(model_io.emit_report(report, fmt), nl=False)
+    _write(model_io.emit_report(report, fmt))
     sys.exit(0 if report.passed else 1)
 
 
@@ -87,12 +102,12 @@ def decompose(model: str, layer_index: int, mode: str | None) -> None:
         _usage_error(exc.args[0])
     for sub in multiplex.decompose_layer(layer):
         links = ", ".join(f"({a}, {b})" for a, b in sub.links)
-        click.echo(f"protocol {sub.protocol}: {links}")
+        _write(f"protocol {sub.protocol}: {links}\n")
     for p in multiplex.unused_protocols(layer):
-        click.echo(f"unused protocol: {p}")
+        _write(f"unused protocol: {p}\n")
     uncovered = multiplex.check_cover(layer)
     for a, b in uncovered:
-        click.echo(f"uncovered link: ({a}, {b})")
+        _write(f"uncovered link: ({a}, {b})\n")
     if uncovered and doc.network.mode is Mode.STRICT:
         sys.exit(1)
 
@@ -113,7 +128,7 @@ def metrics(model: str, layer_index: int | None, mode: str | None, fmt: str) -> 
     else:
         layers = list(doc.network.layers)
     bundle = {layer.index: analysis.layer_metrics(layer) for layer in layers}
-    click.echo(model_io.emit_report(bundle, fmt), nl=False)
+    _write(model_io.emit_report(bundle, fmt))
 
 
 def _parse_node_spec(spec: str) -> ComponentId:
@@ -152,7 +167,7 @@ def simulate(
 
     if exhaustive:
         ranking = faults.exhaustive_single_faults(doc.network)
-        click.echo(model_io.emit_report(ranking, fmt), nl=False)
+        _write(model_io.emit_report(ranking, fmt))
         return
 
     try:
@@ -167,7 +182,7 @@ def simulate(
         result = faults.run_cascade(doc.network, scenario)
     except (faults.UnknownScenarioElement, KeyError) as exc:
         _usage_error(exc.args[0])
-    click.echo(model_io.emit_report(result, fmt), nl=False)
+    _write(model_io.emit_report(result, fmt))
 
 
 @main.command()
@@ -183,14 +198,7 @@ def simulate(
 def export(model: str, view: str, output: str | None, mode: str | None) -> None:
     """Export the network as Graphviz DOT."""
     doc = _load(model, mode)
-    dot = model_io.export_dot(doc.network, view)
-    if output is None:
-        click.echo(dot, nl=False)
-    else:
-        try:
-            Path(output).write_text(dot)
-        except OSError as exc:
-            _usage_error(str(exc))
+    _write(model_io.export_dot(doc.network, view), output)
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from .model import (
     Link,
     MultilayerNetwork,
     canonical_link,
+    unsupported_links,
 )
 
 LinkRef = tuple[int, Link]  # (layer index, canonical name pair)
@@ -139,13 +140,7 @@ def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeR
             hit = {j for i in new_nodes[k] for j in graph.incident[i] if not dead[j]}
             if k and changed[k - 1]:
                 below = _labels(graphs[k - 1], failed[k - 1], inactive[k - 1])
-                supporters = sub.supporters
-                for j, (a, b) in enumerate(graph.links):
-                    if dead[j] or j in hit:
-                        continue
-                    comps_a = {below[s] for s in supporters[a] if below[s] >= 0}
-                    if comps_a.isdisjoint([below[s] for s in supporters[b]]):
-                        hit.add(j)
+                hit.update(unsupported_links(graph, sub.supporters, below, dead))
             elif k and not rounds:
                 hit.update(j for j in sub.unsupported if not dead[j])
             round_links.append(hit)

@@ -171,10 +171,6 @@ class Layer:
         return Layer(index, role, comps, canon_links, tuple(sorted(protos)))
 
     @cached_property
-    def by_name(self) -> dict[str, Component]:
-        return {c.name: c for c in self.components}
-
-    @cached_property
     def component_names(self) -> frozenset[str]:
         return frozenset(c.name for c in self.components)
 
@@ -314,17 +310,27 @@ def _compile_substrate(network: MultilayerNetwork) -> tuple[LayerSubstrate, ...]
             supporters[k][u].append(l)
             dependents[k - 1][l].append(u)
 
-    out: list[LayerSubstrate] = []
-    for k, layer in enumerate(layers):
-        unsupported: list[int] = []
-        if k:
-            below = layers[k - 1].graph.labels
-            sup = supporters[k]
-            for j, (a, b) in enumerate(layer.graph.links):
-                if {below[s] for s in sup[a]}.isdisjoint([below[s] for s in sup[b]]):
-                    unsupported.append(j)
-        out.append(LayerSubstrate(supporters[k], dependents[k], unsupported))
-    return tuple(out)
+    unsupported = [
+        unsupported_links(layer.graph, sup, below.graph.labels)
+        for layer, sup, below in zip(layers[1:], supporters[1:], layers)
+    ]
+    return tuple(map(LayerSubstrate, supporters, dependents, [[], *unsupported]))
+
+
+def unsupported_links(
+    graph: Graph, supporters: Sequence[Sequence[int]], below: Sequence[int], skip: bytes = b""
+) -> list[int]:
+    """Ids of the links of `graph`, other than those marked in `skip`, where no
+    supporter of one endpoint shares a component label in `below` (the layer
+    underneath, -1 for a failed node) with a supporter of the other."""
+    return [
+        j
+        for j, (a, b) in enumerate(graph.links)
+        if not (skip and skip[j])
+        and {below[s] for s in supporters[a] if below[s] >= 0}.isdisjoint(
+            [below[s] for s in supporters[b]]
+        )
+    ]
 
 
 def _check_layer(layer: Layer, path: str, mode: Mode, warnings: list[str]) -> Layer:
@@ -388,7 +394,7 @@ def _check_cross_layer(
         warnings.append(f"{at} has no projections")
     for k, (up, low) in enumerate(cross.projections):
         for side, name, known in (("upper", up, upper), ("lower", low, lower)):
-            if name not in known.component_names:
+            if name not in known.node_ids:
                 raise DanglingLinkEndpoint(
                     f"{at}: projection ({up!r}, {low!r}) references unknown {side} "
                     f"component {name!r}",

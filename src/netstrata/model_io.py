@@ -206,7 +206,7 @@ def _parse_node_ref(obj: Any, layers: tuple[Layer, ...], path: str) -> Component
     name = _expect(obj["name"], str, f"{path}.name", "a string")
     if not 1 <= layer <= len(layers):
         raise DanglingReferenceError(f"no layer {layer}", f"{path}.layer")
-    if name not in layers[layer - 1].component_names:
+    if name not in layers[layer - 1].node_ids:
         raise DanglingReferenceError(
             f"no component {name!r} on layer {layer}", f"{path}.name"
         )

@@ -19,12 +19,6 @@ class ProtocolSubLayer:
     links: tuple[Link, ...]
 
 
-def link_protocols(layer: Layer) -> list[frozenset[str]]:
-    """The declared protocols both endpoints of each link support, in
-    `layer.links` order: a copy of `Layer.link_protocols`."""
-    return list(layer.link_protocols)
-
-
 def decompose_layer(layer: Layer) -> list[ProtocolSubLayer]:
     """Split a layer into one sub-layer per protocol that induces at least
     one link. Protocols inducing nothing are reported by `unused_protocols`,

@@ -96,11 +96,12 @@ def bf_diameter_of_largest(nodes, links):
 
 
 def oracle_uncovered(layer):
+    by_name = {c.name: c for c in layer.components}
     out = set()
     for a, b in layer.links:
         shared = (
-            set(layer.by_name[a].spec.protocols)
-            & set(layer.by_name[b].spec.protocols)
+            set(by_name[a].spec.protocols)
+            & set(by_name[b].spec.protocols)
             & set(layer.protocols)
         )
         if not shared:
@@ -112,12 +113,13 @@ def oracle_decomposition(layer):
     """Per-protocol sub-layer links (only protocols that induce a link) and
     the declared protocols that induce none, by scanning every declared
     protocol against every link."""
+    by_name = {c.name: c for c in layer.components}
     subs = {}
     for p in layer.protocols:
         links = [
             (a, b)
             for a, b in layer.links
-            if p in layer.by_name[a].spec.protocols and p in layer.by_name[b].spec.protocols
+            if p in by_name[a].spec.protocols and p in by_name[b].spec.protocols
         ]
         if links:
             subs[p] = sorted(links)

@@ -257,6 +257,9 @@ def test_fuzzed_documents_keep_the_exit_code_contract(runner, tmp_path):
         ["validate"],
         ["metrics"],
         ["simulate", "--exhaustive"],
+        ["validate", "--format", "machine"],
+        ["metrics", "--format", "machine"],
+        ["simulate", "--exhaustive", "--format", "machine"],
         ["export", "--view", "sublayers"],
         ["decompose", "--layer", "2"],
     ]
@@ -273,6 +276,53 @@ def test_fuzzed_documents_keep_the_exit_code_contract(runner, tmp_path):
             )
             exits.add(result.exit_code)
     assert exits == {0, 1, 2}
+
+
+def _run_cli_into(args, stdout, stderr=subprocess.PIPE):
+    """Run the CLI in a child process that writes its stdout to `stdout`."""
+    src = str(Path(netstrata.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "netstrata.cli", *args],
+        stdout=stdout,
+        stderr=stderr,
+        env={**os.environ, "PYTHONPATH": src},
+        text=True,
+    )
+
+
+def _assert_one_error_line(out):
+    """Exit 2 and one `error:` line: no traceback, no `Exception ignored`."""
+    assert out.returncode == 2, out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+
+
+@pytest.mark.parametrize("args", [["validate", "--format", "machine"], ["export"]])
+def test_closed_stdout_pipe_exits_2(args):
+    read, write = os.pipe()
+    os.close(read)  # nobody reads: the child's first write to stdout fails
+    try:
+        out = _run_cli_into([args[0], fx("dual_homed.mln.json"), *args[1:]], write)
+    finally:
+        os.close(write)
+    _assert_one_error_line(out)
+
+
+def test_closed_stdout_and_stderr_pipes_exit_2():
+    read, write = os.pipe()
+    os.close(read)  # nobody reads either stream: the `error:` line is lost too
+    try:
+        out = _run_cli_into(["validate", fx("dual_homed.mln.json")], write, write)
+    finally:
+        os.close(write)
+    assert out.returncode == 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this host")
+def test_full_device_on_stdout_exits_2():
+    with open("/dev/full", "w") as full:
+        out = _run_cli_into(["metrics", fx("dual_homed.mln.json")], full)
+    _assert_one_error_line(out)
 
 
 def test_commands_are_deterministic(runner):

@@ -8,7 +8,6 @@ from netstrata.model import Layer
 from netstrata.multiplex import (
     check_cover,
     decompose_layer,
-    link_protocols,
     multiplex_multiplicity,
     unused_protocols,
 )
@@ -83,12 +82,13 @@ def test_multiplicity_counts():
 def test_decomposition_properties(seed, ensure_cover):
     l = random_layer(random.Random(seed), ensure_cover=ensure_cover)
     subs = decompose_layer(l)
+    by_name = {c.name: c for c in l.components}
     layer_links = set(l.links)
     for sub in subs:
         assert set(sub.links) <= layer_links
         for a, b in sub.links:
-            assert sub.protocol in l.by_name[a].spec.protocols
-            assert sub.protocol in l.by_name[b].spec.protocols
+            assert sub.protocol in by_name[a].spec.protocols
+            assert sub.protocol in by_name[b].spec.protocols
     uncovered = set(check_cover(l))
     union = {link for sub in subs for link in sub.links}
     assert union | uncovered == layer_links
@@ -126,7 +126,7 @@ def test_decomposition_matches_oracle(seed, narrow):
     assert unused_protocols(l) == unused
     assert set(check_cover(l)) == oracle_uncovered(l)
     shared = [{p for p, links in subs.items() if link in links} for link in l.links]
-    assert link_protocols(l) == shared
+    assert list(l.link_protocols) == shared
     assert multiplex_multiplicity(l) == {
         link: len(ps) for link, ps in zip(l.links, shared)
     }
