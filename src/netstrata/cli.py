@@ -7,10 +7,10 @@ Diagnostics go to stderr; data goes to stdout.
 
 from __future__ import annotations
 
-import contextlib
+import os
 import sys
 from pathlib import Path
-from typing import NoReturn
+from typing import NoReturn, TextIO
 
 import click
 
@@ -19,10 +19,21 @@ from .model import ComponentId, Mode
 from .model_io import ModelDocument, ModelParseError, ModelSyntaxError
 
 
+def _silence(stream: TextIO) -> None:
+    """Point `stream` at /dev/null after a failed write. The unwritten bytes
+    stay in its buffer, and Python's flush at exit would fail on them again,
+    print `Exception ignored` and exit 120."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
 def _usage_error(message: str) -> NoReturn:
     """Print one `error:` line, if stderr can still be written, and exit 2."""
-    with contextlib.suppress(OSError):
+    try:
         click.echo(f"error: {message}", err=True)
+    except OSError:
+        _silence(sys.stderr)
     sys.exit(2)
 
 
@@ -35,6 +46,8 @@ def _write(text: str, output: str | None = None) -> None:
         else:
             Path(output).write_text(text)
     except OSError as exc:
+        if output is None:
+            _silence(sys.stdout)
         _usage_error(str(exc))
 
 

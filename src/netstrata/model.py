@@ -310,11 +310,13 @@ def _compile_substrate(network: MultilayerNetwork) -> tuple[LayerSubstrate, ...]
             supporters[k][u].append(l)
             dependents[k - 1][l].append(u)
 
-    unsupported = [
-        unsupported_links(layer.graph, sup, below.graph.labels)
-        for layer, sup, below in zip(layers[1:], supporters[1:], layers)
-    ]
-    return tuple(map(LayerSubstrate, supporters, dependents, [[], *unsupported]))
+    out: list[LayerSubstrate] = []
+    for k, layer in enumerate(layers):
+        unsupported: list[int] = []
+        if k:
+            unsupported = unsupported_links(layer.graph, supporters[k], layers[k - 1].graph.labels)
+        out.append(LayerSubstrate(supporters[k], dependents[k], unsupported))
+    return tuple(out)
 
 
 def unsupported_links(
