@@ -14,9 +14,9 @@ from typing import NoReturn, TextIO
 
 import click
 
-from . import analysis, consistency, faults, model_io, multiplex
+from . import __version__, analysis, consistency, faults, model_io, multiplex
 from .model import ComponentId, Mode
-from .model_io import ModelDocument, ModelParseError, ModelSyntaxError
+from .model_io import ModelDocument, ModelParseError
 
 
 def _silence(stream: TextIO) -> None:
@@ -55,7 +55,7 @@ def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ModelSyntaxError(f"not UTF-8 text ({exc.reason})", f"byte {exc.start}")
+        raise ModelParseError(f"not UTF-8 text ({exc.reason})", f"byte {exc.start}")
 
 
 def _load(path: str, mode: str | None) -> ModelDocument:
@@ -84,7 +84,7 @@ format_option = click.option(
 
 
 @click.group()
-@click.version_option()
+@click.version_option(__version__)
 def main() -> None:
     """Model, validate, analyze, and fault-simulate hierarchical multilayer
     networks."""

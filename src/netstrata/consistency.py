@@ -17,10 +17,6 @@ from . import multiplex
 from .model import ComponentId, Link, Mode, MultilayerNetwork
 
 
-class BottomLayerHasNoSupporters(LookupError):
-    """Supporters were requested for a bottom-layer component."""
-
-
 class ViolationKind(str, Enum):
     UNSUPPORTED_NODE = "unsupported-node"
     CARDINALITY = "cardinality"
@@ -69,11 +65,7 @@ class ValidationReport:
 
 def supporters(network: MultilayerNetwork, component: ComponentId) -> set[ComponentId]:
     """Lower-layer components this component projects onto."""
-    if component.layer_index == 1:
-        raise BottomLayerHasNoSupporters(
-            f"{component} is on the bottom layer; nothing lies below it"
-        )
-    network.cross_layer(component.layer_index)  # KeyError above the top layer
+    network.cross_layer(component.layer_index)  # KeyError on the bottom layer or above the top
     k = component.layer_index - 1
     up = network.layers[k].node_ids.get(component.local_name)
     lows = network.substrate[k].supporters[up] if up is not None else ()

@@ -25,46 +25,6 @@ class ModelError(ValueError):
         self.path = path
 
 
-class EmptyLayerSet(ModelError):
-    """No layers at all, or a layer with an empty component set."""
-
-
-class DuplicateComponentName(ModelError):
-    pass
-
-
-class DanglingLinkEndpoint(ModelError):
-    """A link or projection references a component that does not exist."""
-
-
-class SelfLoopLink(ModelError):
-    pass
-
-
-class CrossLayerIndexMismatch(ModelError):
-    """Cross-layer declared for a nonexistent or duplicated adjacent pair."""
-
-
-class MissingCrossLayer(ModelError):
-    """An adjacent layer pair has no cross-layer."""
-
-
-class EmptyEdgeSet(ModelError):
-    """Empty link or projection set rejected in strict mode."""
-
-
-class EmptySpecSet(ModelError):
-    """A component declares no supported protocols."""
-
-
-class UndeclaredProtocol(ModelError):
-    """A component uses a protocol missing from its layer's declared set."""
-
-
-class LayerIndexGap(ModelError):
-    """Layer indices are not exactly 1..N."""
-
-
 class Mode(str, Enum):
     """Validation strictness. Strict enforces every non-emptiness rule;
     relaxed downgrades empty link/projection sets to warnings."""
@@ -339,45 +299,45 @@ def _check_layer(layer: Layer, path: str, mode: Mode, warnings: list[str]) -> La
     """Check one layer as given at `path`, then return it canonicalized."""
     at = f"layer {layer.index}"
     if not layer.components:
-        raise EmptyLayerSet(f"{at} has no components", f"{path}.components")
+        raise ModelError(f"{at} has no components", f"{path}.components")
     declared = set(layer.protocols)
     names: set[str] = set()
     for j, comp in enumerate(layer.components):
         name, where = comp.name, f"{path}.components[{j}]"
         if not name:
-            raise DuplicateComponentName(
+            raise ModelError(
                 f"{at}: component name must be non-empty", f"{where}.name"
             )
         if "/" in name:
             raise ModelError(f"{at}: component name {name!r} contains '/'", f"{where}.name")
         if name in names:
-            raise DuplicateComponentName(
+            raise ModelError(
                 f"{at}: duplicate component name {name!r}", f"{where}.name"
             )
         names.add(name)
         if not comp.spec.protocols:
-            raise EmptySpecSet(
+            raise ModelError(
                 f"{at}: component {name!r} declares no protocols", f"{where}.protocols"
             )
         undeclared = set(comp.protocols) - declared
         if undeclared:
-            raise UndeclaredProtocol(
+            raise ModelError(
                 f"{at}: component {name!r} uses protocols {sorted(undeclared)} missing from "
                 "the layer protocol set",
                 f"{where}.protocols",
             )
     for k, (a, b) in enumerate(layer.links):
         if a == b:
-            raise SelfLoopLink(f"{at}: self-loop on {a!r}", f"{path}.links[{k}]")
+            raise ModelError(f"{at}: self-loop on {a!r}", f"{path}.links[{k}]")
         for endpoint in (a, b):
             if endpoint not in names:
-                raise DanglingLinkEndpoint(
+                raise ModelError(
                     f"{at}: link ({a!r}, {b!r}) references unknown component {endpoint!r}",
                     f"{path}.links[{k}]",
                 )
     if not layer.links:
         if mode is Mode.STRICT:
-            raise EmptyEdgeSet(f"{at} has no links (strict mode)", f"{path}.links")
+            raise ModelError(f"{at} has no links (strict mode)", f"{path}.links")
         warnings.append(f"{at} has no links")
     unused = declared.difference(*(c.protocols for c in layer.components))
     if unused:
@@ -392,12 +352,12 @@ def _check_cross_layer(
     at = f"cross-layer {cross.upper_index}->{cross.upper_index - 1}"
     if not cross.projections:
         if mode is Mode.STRICT:
-            raise EmptyEdgeSet(f"{at} has no projections (strict mode)", f"{path}.projections")
+            raise ModelError(f"{at} has no projections (strict mode)", f"{path}.projections")
         warnings.append(f"{at} has no projections")
     for k, (up, low) in enumerate(cross.projections):
         for side, name, known in (("upper", up, upper), ("lower", low, lower)):
             if name not in known.node_ids:
-                raise DanglingLinkEndpoint(
+                raise ModelError(
                     f"{at}: projection ({up!r}, {low!r}) references unknown {side} "
                     f"component {name!r}",
                     f"{path}.projections[{k}]",
@@ -419,11 +379,11 @@ def build_network(
     """
     mode = Mode(mode)
     if not layers:
-        raise EmptyLayerSet("a network needs at least one layer", "layers")
+        raise ModelError("a network needs at least one layer", "layers")
     order = sorted(range(len(layers)), key=lambda i: layers[i].index)
     indices = [layers[i].index for i in order]
     if indices != list(range(1, len(layers) + 1)):
-        raise LayerIndexGap(f"layer indices must be exactly 1..N, got {indices}", "layers")
+        raise ModelError(f"layer indices must be exactly 1..N, got {indices}", "layers")
 
     warnings: list[str] = []
     canonical = tuple(_check_layer(layers[i], f"layers[{i}]", mode, warnings) for i in order)
@@ -431,19 +391,19 @@ def build_network(
     by_upper: dict[int, int] = {}
     for j, cross in enumerate(cross_layers):
         if not 2 <= cross.upper_index <= len(layers):
-            raise CrossLayerIndexMismatch(
+            raise ModelError(
                 f"cross-layer upper index {cross.upper_index} is outside 2..{len(layers)}",
                 f"cross_layers[{j}].upper_index",
             )
         if cross.upper_index in by_upper:
-            raise CrossLayerIndexMismatch(
+            raise ModelError(
                 f"duplicate cross-layer for upper index {cross.upper_index}",
                 f"cross_layers[{j}].upper_index",
             )
         by_upper[cross.upper_index] = j
     for alpha in range(2, len(layers) + 1):
         if alpha not in by_upper:
-            raise MissingCrossLayer(
+            raise ModelError(
                 f"no cross-layer between layer {alpha} and layer {alpha - 1}",
                 "cross_layers",
             )

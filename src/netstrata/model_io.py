@@ -22,7 +22,6 @@ from .model import (
     ComponentId,
     ComponentKind,
     CrossLayer,
-    DanglingLinkEndpoint,
     Layer,
     LayerRole,
     Link,
@@ -47,22 +46,6 @@ class ModelParseError(ValueError):
     def __init__(self, message: str, position: str):
         super().__init__(f"{position}: {message}")
         self.position = position
-
-
-class ModelSyntaxError(ModelParseError):
-    pass
-
-
-class UnknownFieldError(ModelParseError):
-    pass
-
-
-class DanglingReferenceError(ModelParseError):
-    pass
-
-
-class UnsupportedFormatVersionError(ModelParseError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -130,7 +113,7 @@ def _closed(obj: Mapping[str, Any], allowed: set[str], required: set[str], path:
     _expect(obj, dict, path, "an object")
     for key in obj:
         if key not in allowed:
-            raise UnknownFieldError(f"unknown field {key!r}", path)
+            raise ModelParseError(f"unknown field {key!r}", path)
     for key in required:
         if key not in obj:
             raise ModelParseError(f"missing required field {key!r}", path)
@@ -205,9 +188,9 @@ def _parse_node_ref(obj: Any, layers: tuple[Layer, ...], path: str) -> Component
     layer = _expect(obj["layer"], int, f"{path}.layer", "an integer")
     name = _expect(obj["name"], str, f"{path}.name", "a string")
     if not 1 <= layer <= len(layers):
-        raise DanglingReferenceError(f"no layer {layer}", f"{path}.layer")
+        raise ModelParseError(f"no layer {layer}", f"{path}.layer")
     if name not in layers[layer - 1].node_ids:
-        raise DanglingReferenceError(
+        raise ModelParseError(
             f"no component {name!r} on layer {layer}", f"{path}.name"
         )
     return ComponentId(layer, name)
@@ -229,10 +212,10 @@ def _parse_scenario(obj: Any, layers: tuple[Layer, ...], path: str) -> FaultScen
         _closed(entry, {"layer", "link"}, {"layer", "link"}, lpath)
         layer = _expect(entry["layer"], int, f"{lpath}.layer", "an integer")
         if not 1 <= layer <= len(layers):
-            raise DanglingReferenceError(f"no layer {layer}", f"{lpath}.layer")
+            raise ModelParseError(f"no layer {layer}", f"{lpath}.layer")
         a, b = _string_pair(entry["link"], f"{lpath}.link")
         if canonical_link(a, b) not in layers[layer - 1].link_ids:
-            raise DanglingReferenceError(
+            raise ModelParseError(
                 f"no link ({a!r}, {b!r}) on layer {layer}", f"{lpath}.link"
             )
         links.append((layer, (a, b)))
@@ -245,11 +228,11 @@ def parse_model(text: str, mode: Mode | str | None = None) -> ModelDocument:
     try:
         data = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
-        raise ModelSyntaxError(exc.msg, f"line {exc.lineno}, column {exc.colno}")
+        raise ModelParseError(exc.msg, f"line {exc.lineno}, column {exc.colno}")
     except RecursionError:
-        raise ModelSyntaxError("arrays or objects nested too deeply", "$")
+        raise ModelParseError("arrays or objects nested too deeply", "$")
     except ValueError:  # CPython's int-string limit, not a JSONDecodeError
-        raise ModelSyntaxError("integer literal has too many digits", "$")
+        raise ModelParseError("integer literal has too many digits", "$")
     # UTF-8 decoding already rejects encoded surrogates, so only a `\uD800`-
     # `\uDFFF` escape can bring one in; documents without one skip the walk.
     if _SURROGATE_ESCAPE.search(text) and (where := _lone_surrogate(data)) is not None:
@@ -263,7 +246,7 @@ def parse_model(text: str, mode: Mode | str | None = None) -> ModelDocument:
     )
     version = _expect(data["format_version"], str, "$.format_version", "a string")
     if version != FORMAT_VERSION:
-        raise UnsupportedFormatVersionError(
+        raise ModelParseError(
             f"unsupported format version {version!r} (expected {FORMAT_VERSION!r})",
             "$.format_version",
         )
@@ -284,9 +267,7 @@ def parse_model(text: str, mode: Mode | str | None = None) -> ModelDocument:
     try:
         network = build_network(layers, cross_layers, declared if mode is None else mode)
     except ModelError as exc:
-        dangling = isinstance(exc, DanglingLinkEndpoint)
-        error = DanglingReferenceError if dangling else ModelParseError
-        raise error(str(exc), f"$.{exc.path}" if exc.path else "$")
+        raise ModelParseError(str(exc), f"$.{exc.path}" if exc.path else "$")
 
     scenarios_raw = _expect(data.get("scenarios", []), list, "$.scenarios", "an array")
     scenarios = []

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,13 @@ def comp(name, protocols=("p1",), kind=ComponentKind.HARDWARE, attributes=()):
 
 def layer(index, components, links=(), role=LayerRole.CUSTOM, protocols=None):
     return Layer.of(index, components, links, role, protocols)
+
+
+def exactly(message):
+    """An anchored `pytest.raises` pattern for the whole of `message`. Each
+    stage raises one error type, so only the message and the path or position
+    tell one rule from another."""
+    return f"^{re.escape(message)}$"
 
 
 @pytest.fixture

@@ -327,6 +327,14 @@ def test_full_device_on_stdout_exits_2():
     _assert_one_error_line(out)
 
 
+def test_version_from_a_source_checkout():
+    # The child imports netstrata from the source tree, so the version cannot
+    # come from package metadata, which exists only once netstrata is installed.
+    out = _run_cli_into(["--version"], subprocess.PIPE)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.rstrip("\n").endswith(f"version {netstrata.__version__}")
+
+
 def test_commands_are_deterministic(runner):
     a = runner.invoke(main, ["validate", fx("basic_stack.mln.json"), "--format", "machine"])
     b = runner.invoke(main, ["validate", fx("basic_stack.mln.json"), "--format", "machine"])

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netstrata.consistency import (
-    BottomLayerHasNoSupporters,
     NodeClass,
     ViolationKind,
     check_node_support,
@@ -48,8 +47,9 @@ def test_supporters_lookup():
 
 def test_supporters_bottom_layer_raises():
     net = two_over_three([("h1", "h2")], [("s1", "h1"), ("s2", "h2")])
-    with pytest.raises(BottomLayerHasNoSupporters):
+    with pytest.raises(KeyError) as exc:
         supporters(net, ComponentId(1, "h1"))
+    assert exc.value.args == ("no cross-layer with upper index 1",)
 
 
 def test_node_support_clean():

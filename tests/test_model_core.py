@@ -9,26 +9,17 @@ from netstrata.model import (
     ComponentId,
     ComponentKind,
     CrossLayer,
-    CrossLayerIndexMismatch,
-    DanglingLinkEndpoint,
-    DuplicateComponentName,
-    EmptyEdgeSet,
-    EmptyLayerSet,
-    EmptySpecSet,
     Layer,
-    LayerIndexGap,
     LayerRole,
-    MissingCrossLayer,
     Mode,
-    SelfLoopLink,
-    UndeclaredProtocol,
+    ModelError,
     build_network,
 )
 from netstrata.generators import random_network
 from netstrata.graphutil import component_labels
 
 from . import oracles
-from .conftest import comp, layer
+from .conftest import comp, exactly, layer
 
 
 def test_single_layer_base_case():
@@ -70,7 +61,8 @@ def test_three_layer_flatten_arithmetic():
 
 
 def test_missing_cross_layer():
-    with pytest.raises(MissingCrossLayer):
+    message = "no cross-layer between layer 2 and layer 1"
+    with pytest.raises(ModelError, match=exactly(message)) as exc:
         build_network(
             [
                 layer(1, [comp("h1"), comp("h2")], [("h1", "h2")]),
@@ -79,34 +71,42 @@ def test_missing_cross_layer():
             [],
             Mode.RELAXED,
         )
+    assert exc.value.path == "cross_layers"
 
 
 def test_empty_layer_set():
-    with pytest.raises(EmptyLayerSet):
+    with pytest.raises(ModelError, match=exactly("a network needs at least one layer")) as exc:
         build_network([])
-    with pytest.raises(EmptyLayerSet):
+    assert exc.value.path == "layers"
+    with pytest.raises(ModelError, match=exactly("layer 1 has no components")) as exc:
         build_network([layer(1, [])])
+    assert exc.value.path == "layers[0].components"
 
 
 def test_duplicate_component_name():
-    with pytest.raises(DuplicateComponentName):
+    with pytest.raises(ModelError, match=exactly("layer 1: duplicate component name 'x'")) as exc:
         build_network([layer(1, [comp("x"), comp("x")], [])], mode=Mode.RELAXED)
+    assert exc.value.path == "layers[0].components[1].name"
 
 
 def test_dangling_link_endpoint():
-    with pytest.raises(DanglingLinkEndpoint):
+    message = "layer 1: link ('a', 'ghost') references unknown component 'ghost'"
+    with pytest.raises(ModelError, match=exactly(message)) as exc:
         build_network([layer(1, [comp("a"), comp("b")], [("a", "ghost")])])
+    assert exc.value.path == "layers[0].links[0]"
 
 
 def test_self_loop_rejected():
-    with pytest.raises(SelfLoopLink):
+    with pytest.raises(ModelError, match=exactly("layer 1: self-loop on 'a'")) as exc:
         build_network([layer(1, [comp("a"), comp("b")], [("a", "a")])])
+    assert exc.value.path == "layers[0].links[0]"
 
 
 def test_empty_edge_set_strict_vs_relaxed():
     layers = [layer(1, [comp("lonely")])]
-    with pytest.raises(EmptyEdgeSet):
+    with pytest.raises(ModelError, match=exactly("layer 1 has no links (strict mode)")) as exc:
         build_network(layers, mode=Mode.STRICT)
+    assert exc.value.path == "layers[0].links"
     net = build_network(layers, mode=Mode.RELAXED)
     assert any("no links" in w for w in net.warnings)
 
@@ -116,14 +116,17 @@ def test_cross_layer_index_mismatch():
         layer(1, [comp("a"), comp("b")], [("a", "b")]),
         layer(2, [comp("c"), comp("d")], [("c", "d")]),
     ]
-    with pytest.raises(CrossLayerIndexMismatch):
+    message = "cross-layer upper index 5 is outside 2..2"
+    with pytest.raises(ModelError, match=exactly(message)) as exc:
         build_network(layers, [CrossLayer.of(5, [("c", "a")])], Mode.RELAXED)
-    with pytest.raises(CrossLayerIndexMismatch):
+    assert exc.value.path == "cross_layers[0].upper_index"
+    with pytest.raises(ModelError, match=exactly("duplicate cross-layer for upper index 2")) as exc:
         build_network(
             layers,
             [CrossLayer.of(2, [("c", "a")]), CrossLayer.of(2, [("d", "b")])],
             Mode.RELAXED,
         )
+    assert exc.value.path == "cross_layers[1].upper_index"
 
 
 def test_model_error_path_indexes_the_input_as_given():
@@ -136,25 +139,29 @@ def test_model_error_path_indexes_the_input_as_given():
         raw_layer(2, ["d", "c"], (("d", "c"),)),
     ]
     crosses = [CrossLayer(3, (("e", "c"), ("f", "d"))), CrossLayer(2, (("d", "b"), ("c", "a")))]
-    with pytest.raises(DanglingLinkEndpoint) as exc:
+    message = "layer 1: link ('b', 'zed') references unknown component 'zed'"
+    with pytest.raises(ModelError, match=exactly(message)) as exc:
         build_network(layers, crosses)
     assert exc.value.path == "layers[1].links[0]"
 
     layers[1] = raw_layer(1, ["b", "a"], (("b", "a"),))
     crosses[1] = CrossLayer(2, (("d", "b"), ("ghost", "a"), ("c", "a")))
-    with pytest.raises(DanglingLinkEndpoint) as exc:
+    message = (
+        "cross-layer 2->1: projection ('ghost', 'a') references unknown upper component 'ghost'"
+    )
+    with pytest.raises(ModelError, match=exactly(message)) as exc:
         build_network(layers, crosses)
     assert exc.value.path == "cross_layers[1].projections[1]"
 
     layers[2] = raw_layer(2, ["d", "c", "d"], (("d", "c"),))
-    with pytest.raises(DuplicateComponentName) as exc:
+    with pytest.raises(ModelError, match=exactly("layer 2: duplicate component name 'd'")) as exc:
         build_network(layers, crosses)
     assert exc.value.path == "layers[2].components[2].name"
-    assert str(exc.value) == "layer 2: duplicate component name 'd'"
 
 
 def test_layer_index_gap():
-    with pytest.raises(LayerIndexGap):
+    message = "layer indices must be exactly 1..N, got [1, 3]"
+    with pytest.raises(ModelError, match=exactly(message)) as exc:
         build_network(
             [
                 layer(1, [comp("a")], []),
@@ -162,19 +169,24 @@ def test_layer_index_gap():
             ],
             mode=Mode.RELAXED,
         )
+    assert exc.value.path == "layers"
 
 
 def test_empty_spec_set():
-    with pytest.raises(EmptySpecSet):
+    message = "layer 1: component 'a' declares no protocols"
+    with pytest.raises(ModelError, match=exactly(message)) as exc:
         build_network([layer(1, [comp("a", [])])], mode=Mode.RELAXED)
+    assert exc.value.path == "layers[0].components[0].protocols"
 
 
 def test_undeclared_protocol():
-    with pytest.raises(UndeclaredProtocol):
+    message = "layer 1: component 'a' uses protocols ['p9'] missing from the layer protocol set"
+    with pytest.raises(ModelError, match=exactly(message)) as exc:
         build_network(
             [layer(1, [comp("a", ["p9"])], [], protocols=["p1"])],
             mode=Mode.RELAXED,
         )
+    assert exc.value.path == "layers[0].components[0].protocols"
 
 
 def test_declared_superset_warns_when_unused():
