@@ -3,10 +3,11 @@
 bottom-layer node, printed as a ranked impact table."""
 
 import argparse
+import sys
 from pathlib import Path
 
 from netstrata.faults import exhaustive_single_faults
-from netstrata.model_io import parse_model
+from netstrata.model_io import ModelParseError, parse_model
 
 
 def main() -> None:
@@ -15,7 +16,12 @@ def main() -> None:
     parser.add_argument("--top", type=int, default=20)
     args = parser.parse_args()
 
-    doc = parse_model(args.model.read_text())
+    try:
+        doc = parse_model(args.model.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, ModelParseError) as exc:
+        # One line and exit 2, as the CLI reports a document it cannot load.
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
     ranking = exhaustive_single_faults(doc.network)
     print(f"{'node':<24} {'failed':>8} {'rounds':>8}  functional")
     for entry in ranking[: args.top]:

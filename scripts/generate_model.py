@@ -10,12 +10,19 @@ from netstrata.generators import desk_model, random_network
 from netstrata.model_io import FORMAT_VERSION, ModelDocument, serialize_model
 
 
+def positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--kind", choices=["random", "desk"], default="random")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-layers", type=int, default=6)
-    parser.add_argument("--max-nodes", type=int, default=40)
+    parser.add_argument("--max-layers", type=positive, default=6)
+    parser.add_argument("--max-nodes", type=positive, default=40)
     parser.add_argument(
         "--inconsistent",
         action="store_true",

@@ -83,6 +83,20 @@ def _labels(graph: Graph, failed: bytearray, inactive: bytearray) -> list[int]:
     )
 
 
+def _labels_without(graph: Graph, v: int) -> tuple[list[int], list[int]]:
+    """What `_labels` gives when `v` is the layer's only failed node and only
+    links incident to it are inactive, read from the baseline labels and the
+    DFS table; and the nodes whose label that changes, `v` first."""
+    dfs, labels, moved = graph.dfs, list(graph.labels), [v]
+    labels[v] = -1
+    for fresh, w in enumerate(dfs.splits.get(v, ()), len(graph.sizes)):
+        piece = dfs.order[dfs.disc[w] : dfs.end[w]]
+        for x in piece:
+            labels[x] = fresh
+        moved.extend(piece)
+    return labels, moved
+
+
 def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeResult:
     """Propagate an injected fault set upward to its fixed point.
 
@@ -95,7 +109,10 @@ def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeR
     of newly failed nodes, the links incident to them, and every link of a
     layer whose layer below changed. The injection is the change before
     round 1, which also inactivates the links unsupported with nothing
-    failed, since removing elements never connects anything.
+    failed, since removing elements never connects anything. While a layer's
+    whole change is one failed node and links incident to it, its labels come
+    from the DFS table, and the layer above checks only the links incident to
+    the dependents of the nodes whose label changed.
     """
     substrate, layers = network.substrate, network.layers
     graphs = [layer.graph for layer in layers]
@@ -104,6 +121,9 @@ def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeR
     inactive = [bytearray(len(layer.links)) for layer in layers]
     new_nodes: list[set[int]] = [set() for _ in layers]
     changed = [False] * depth
+    # Per layer: -1 while unchanged; its one failed node while that node and
+    # links incident to it are the whole change; None after any other change.
+    lone: list[int | None] = [-1] * depth
     for node in scenario.failed_nodes:
         if not 1 <= node.layer_index <= depth:
             raise UnknownScenarioElement(f"no layer {node.layer_index} for node {node}")
@@ -114,6 +134,7 @@ def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeR
         failed[k][i] = 1
         new_nodes[k].add(i)
         changed[k] = True
+        lone[k] = i if lone[k] == -1 else None
     for idx, link in scenario.failed_links:
         if not 1 <= idx <= depth:
             raise UnknownScenarioElement(f"no layer {idx} for link {link}")
@@ -122,6 +143,7 @@ def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeR
             raise UnknownScenarioElement(f"unknown link {link} on layer {idx}")
         inactive[idx - 1][j] = 1
         changed[idx - 1] = True
+        lone[idx - 1] = None
     rounds: list[CascadeRound] = []
 
     while True:
@@ -138,21 +160,33 @@ def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeR
         for k, (sub, graph) in enumerate(zip(substrate, graphs)):
             dead = inactive[k]
             hit = {j for i in new_nodes[k] for j in graph.incident[i] if not dead[j]}
-            if k and changed[k - 1]:
-                below = _labels(graphs[k - 1], failed[k - 1], inactive[k - 1])
-                hit.update(unsupported_links(graph, sub.supporters, below, dead))
-            elif k and not rounds:
+            if k and not rounds:
                 hit.update(j for j in sub.unsupported if not dead[j])
+            if k and changed[k - 1]:
+                if lone[k - 1] is None:
+                    below = _labels(graphs[k - 1], failed[k - 1], inactive[k - 1])
+                    hit.update(unsupported_links(graph, sub.supporters, below, dead))
+                else:
+                    below, moved = _labels_without(graphs[k - 1], lone[k - 1])
+                    deps = substrate[k - 1].dependents
+                    ids = {j for x in moved for d in deps[x] for j in graph.incident[d]}
+                    hit.update(unsupported_links(graph, sub.supporters, below, dead, ids))
             round_links.append(hit)
 
         if not any(round_nodes) and not any(round_links):
             break
-        for k in range(depth):
+        for k, (down, graph) in enumerate(zip(failed, graphs)):
             for i in round_nodes[k]:
-                failed[k][i] = 1
+                down[i] = 1
+                lone[k] = i if lone[k] == -1 else None
+            changed[k] = bool(round_nodes[k])
             for j in round_links[k]:
                 inactive[k][j] = 1
-            changed[k] = bool(round_nodes[k] or round_links[k])
+                a, b = graph.links[j]
+                # A link with a failed endpoint is already out of `_labels`.
+                if not (down[a] or down[b]):
+                    changed[k] = True
+                    lone[k] = None
         new_nodes = round_nodes
         rounds.append(
             CascadeRound(
@@ -170,13 +204,19 @@ def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeR
     survival: dict[int, float] = {}
     largest_fraction: dict[int, float] = {}
     functional_alive = not any(l.role is LayerRole.FUNCTIONAL for l in layers)
-    for k, layer in enumerate(layers):
+    for k, (layer, graph) in enumerate(zip(layers, graphs)):
         total = len(layer.components)
         survivors = total - failed[k].count(1)
-        if survivors == total and 1 not in inactive[k]:
-            largest = max(graphs[k].sizes.values())
+        v = lone[k]
+        if v == -1:
+            largest = max(graph.sizes.values())
+        elif v is not None:
+            dfs, sizes = graph.dfs, Counter(graph.sizes)
+            pieces = [dfs.end[w] - dfs.disc[w] for w in dfs.splits.get(v, ())]
+            sizes[graph.labels[v]] -= 1 + sum(pieces)
+            largest = max([*sizes.values(), *pieces])
         else:
-            labels = _labels(graphs[k], failed[k], inactive[k])
+            labels = _labels(graph, failed[k], inactive[k])
             sizes = Counter(label for label in labels if label >= 0)
             largest = max(sizes.values(), default=0)
         survival[layer.index] = survivors / total

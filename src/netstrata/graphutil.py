@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -57,6 +58,20 @@ def component_labels(
 
 
 @dataclass(frozen=True)
+class Dfs:
+    """One iterative lowlink DFS (Hopcroft & Tarjan, CACM 1973) of a `Graph`,
+    kept in arrays as long as the graph. Removing node `v` splits off, as one
+    component each, the subtrees `order[disc[w]:end[w]]` of `splits[v]`."""
+
+    order: Sequence[int]  # node ids in preorder
+    disc: Sequence[int]  # preorder number per node
+    end: Sequence[int]  # exclusive end of each node's subtree in `order`
+    low: Sequence[int]  # lowest `disc` one back link from the subtree reaches
+    via: Sequence[int]  # link id to the DFS parent, -1 at a root
+    splits: dict[int, list[int]]  # children `w` with `low[w] >= disc[v]`: all, at a root
+
+
+@dataclass(frozen=True)
 class Graph:
     """An undirected simple graph on nodes `0..n-1`, compiled once."""
 
@@ -78,50 +93,52 @@ class Graph:
         """Node count per component label."""
         return Counter(self.labels)
 
+    @cached_property
+    def dfs(self) -> Dfs:
+        """The lowlink DFS table, built on first use."""
+        links, incident = self.links, self.incident
+        n = len(incident)
+        order: list[int] = []
+        disc, end, low, via = [-1] * n, [0] * n, [0] * n, [-1] * n
+        splits: dict[int, list[int]] = {}
+        for root in range(n):
+            if disc[root] >= 0:
+                continue
+            disc[root] = low[root] = len(order)
+            order.append(root)
+            # (node, link id it was reached by, its incident links still to walk)
+            stack = [(root, -1, iter(incident[root]))]
+            while stack:
+                v, up, todo = stack[-1]
+                for j in todo:
+                    if j == up:
+                        continue
+                    a, b = links[j]
+                    w = b if a == v else a
+                    if disc[w] < 0:
+                        disc[w] = low[w] = len(order)
+                        order.append(w)
+                        via[w] = j
+                        stack.append((w, j, iter(incident[w])))
+                        break
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+                else:
+                    stack.pop()
+                    end[v] = len(order)
+                    if stack:
+                        parent = stack[-1][0]
+                        if low[v] < low[parent]:
+                            low[parent] = low[v]
+                        if low[v] >= disc[parent]:
+                            splits.setdefault(parent, []).append(v)
+        return Dfs(*(array("l", c) for c in (order, disc, end, low, via)), splits)
+
 
 def cut_points(graph: Graph) -> tuple[set[int], list[int]]:
-    """Articulation points (node ids) and bridges (link ids) of `graph`, by
-    one iterative lowlink DFS (Tarjan), so deep graphs need no recursion."""
-    links, incident = graph.links, graph.incident
-    n = len(incident)
-    disc = [-1] * n
-    low = [0] * n
-    cut: set[int] = set()
-    bridges: list[int] = []
-    clock = 0
-    for root in range(n):
-        if disc[root] >= 0:
-            continue
-        disc[root] = low[root] = clock
-        clock += 1
-        root_children = 0
-        # (node, link id it was reached by, its incident links still to walk)
-        stack = [(root, -1, iter(incident[root]))]
-        while stack:
-            v, via, todo = stack[-1]
-            for j in todo:
-                if j == via:
-                    continue
-                a, b = links[j]
-                w = b if a == v else a
-                if disc[w] < 0:
-                    disc[w] = low[w] = clock
-                    clock += 1
-                    stack.append((w, j, iter(incident[w])))
-                    break
-                low[v] = min(low[v], disc[w])
-            else:
-                stack.pop()
-                if via < 0:
-                    continue
-                parent = stack[-1][0]
-                low[parent] = min(low[parent], low[v])
-                if low[v] > disc[parent]:
-                    bridges.append(via)
-                if parent == root:
-                    root_children += 1
-                elif low[v] >= disc[parent]:
-                    cut.add(parent)
-        if root_children > 1:
-            cut.add(root)
+    """Articulation points (node ids): roots with two split-off children, other
+    nodes with one. Bridges (link ids): tree links that no back link spans."""
+    dfs = graph.dfs
+    cut = {v for v, ws in dfs.splits.items() if len(ws) > (dfs.via[v] < 0)}
+    bridges = [j for w, j in enumerate(dfs.via) if j >= 0 and dfs.low[w] == dfs.disc[w]]
     return cut, bridges

@@ -280,17 +280,20 @@ def _compile_substrate(network: MultilayerNetwork) -> tuple[LayerSubstrate, ...]
 
 
 def unsupported_links(
-    graph: Graph, supporters: Sequence[Sequence[int]], below: Sequence[int], skip: bytes = b""
+    graph: Graph, supporters: Sequence[Sequence[int]], below: Sequence[int], skip: bytes = b"",
+    ids: Iterable[int] | None = None,
 ) -> list[int]:
-    """Ids of the links of `graph`, other than those marked in `skip`, where no
-    supporter of one endpoint shares a component label in `below` (the layer
-    underneath, -1 for a failed node) with a supporter of the other."""
+    """Ids of the links of `graph` (or of those in `ids`), other than those
+    marked in `skip`, where no supporter of one endpoint shares a component
+    label in `below` (the layer underneath, -1 for a failed node) with a
+    supporter of the other."""
+    links = graph.links
     return [
         j
-        for j, (a, b) in enumerate(graph.links)
+        for j in (range(len(links)) if ids is None else ids)
         if not (skip and skip[j])
-        and {below[s] for s in supporters[a] if below[s] >= 0}.isdisjoint(
-            [below[s] for s in supporters[b]]
+        and {below[s] for s in supporters[links[j][0]] if below[s] >= 0}.isdisjoint(
+            [below[s] for s in supporters[links[j][1]]]
         )
     ]
 

@@ -12,6 +12,7 @@ from netstrata.analysis import (
     sublayer_metrics,
 )
 from netstrata.generators import random_layer, random_network
+from netstrata.graphutil import Graph
 from netstrata.model import CrossLayer, Mode, build_network
 from netstrata.multiplex import decompose_layer
 
@@ -278,6 +279,38 @@ def test_articulation_point_removal_splits(seed):
             assert after > base
         elif rest:
             assert after <= base
+
+
+@given(seed=st.integers(0, 20_000))
+@settings(max_examples=100, deadline=None)
+def test_dfs_table_splits_match_components_without_each_node(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 14)
+    # Few links for the node count, so most graphs have isolated nodes and
+    # several components.
+    pairs = sorted(
+        {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, n + 3))}
+        if n >= 2
+        else set()
+    )
+    graph = Graph.of(n, pairs)
+    dfs, labels = graph.dfs, graph.labels
+    assert sorted(dfs.order) == list(range(n))
+    assert all(dfs.order[dfs.disc[v]] == v for v in range(n))
+    by_label = {c: frozenset(i for i in range(n) if labels[i] == c) for c in set(labels)}
+    for v in range(n):
+        splits = dfs.splits.get(v, [])
+        pieces = [frozenset(dfs.order[dfs.disc[w] : dfs.end[w]]) for w in splits]
+        rest = by_label[labels[v]].difference([v], *pieces)
+        assert len(rest) == graph.sizes[labels[v]] - 1 - sum(
+            dfs.end[w] - dfs.disc[w] for w in splits
+        )
+        found = [c for label, c in by_label.items() if label != labels[v]] + pieces
+        found += [rest] if rest else []
+        expected = oracles.bf_components(
+            [i for i in range(n) if i != v], [p for p in pairs if v not in p]
+        )
+        assert sorted(map(sorted, found)) == sorted(map(sorted, expected))
 
 
 @given(seed=st.integers(0, 10_000))

@@ -1,18 +1,23 @@
 import random
+import runpy
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netstrata import faults
+from netstrata.consistency import validate
 from netstrata.faults import (
     FaultScenario,
     UnknownScenarioElement,
     exhaustive_single_faults,
     run_cascade,
 )
-from netstrata.generators import random_network
+from netstrata.generators import desk_model, random_network
 from netstrata.model import ComponentId, ComponentKind, CrossLayer, LayerRole, Mode, build_network
-from netstrata.model_io import emit_report
+from netstrata.model_io import emit_report, parse_model
 
 from . import oracles
 from .conftest import comp, layer
@@ -287,3 +292,141 @@ def test_exhaustive_ranking_dual_homed(dual_homed_network):
 def test_exhaustive_covers_every_bottom_node(basic_stack_network):
     ranking = exhaustive_single_faults(basic_stack_network)
     assert len(ranking) == len(basic_stack_network.layer(1).components)
+
+
+def shaped_links(rng, shape, names):
+    """Links over `names` in one shape. Names are shuffled into it, so the
+    DFS root, the smallest name, can sit anywhere: inside a path it is a root
+    cut vertex, elsewhere a leaf."""
+    order = names[:]
+    rng.shuffle(order)
+
+    def tree(part):
+        return [(part[i], part[rng.randrange(i)]) for i in range(1, len(part))]
+
+    if shape == "path":
+        return list(zip(order, order[1:]))
+    if shape == "star":
+        if rng.random() < 0.5:  # the centre is the DFS root
+            order.sort(key=lambda x: x != min(names))
+        return [(order[0], x) for x in order[1:]]
+    if shape == "tree":
+        # A few extra links make cycles, so a split is not always a bridge.
+        extra = rng.randint(0, 2) if len(names) > 1 else 0
+        return tree(order) + [tuple(rng.sample(names, 2)) for _ in range(extra)]
+    # "isolated": two trees over part of the nodes, the rest isolated
+    a = rng.randint(0, len(order))
+    b = rng.randint(a, len(order))
+    return tree(order[:a]) + tree(order[a:b])
+
+
+def shaped_network(rng, shapes, consistent=True, bottom=None):
+    """One layer per shape, each of 1..9 nodes and the top one functional;
+    `bottom`, as (names, links), replaces the first. Upper nodes have one or
+    two supporters; when not `consistent`, some have none."""
+    layers, crosses = [], []
+    for alpha, shape in enumerate(shapes, 1):
+        names = [f"x{alpha}_{i}" for i in range(rng.randint(1, 9))]
+        links = shaped_links(rng, shape, names)
+        if alpha == 1 and bottom:
+            names, links = bottom
+        role = LayerRole.FUNCTIONAL if alpha == len(shapes) else LayerRole.CUSTOM
+        layers.append(layer(alpha, [comp(x) for x in names], links, role))
+        if alpha > 1:
+            below = [c.name for c in layers[-2].components]
+            crosses.append(
+                CrossLayer.of(
+                    alpha,
+                    [
+                        (up, low)
+                        for up in names
+                        if consistent or rng.random() < 0.8
+                        for low in rng.sample(below, min(len(below), rng.randint(1, 2)))
+                    ],
+                )
+            )
+    return build_network(layers, crosses, Mode.RELAXED)
+
+
+def tie_network(rng):
+    """A bottom path of 2m+1 nodes, sometimes beside a path of m, under
+    random layers: removing the middle node leaves components of equal size."""
+    m = rng.randint(1, 4)
+    names = [f"x1_{i}" for i in range(3 * m + 1)]
+    path, side = names[: 2 * m + 1], names[2 * m + 1 :] if rng.random() < 0.5 else []
+    rng.shuffle(path)
+    links = list(zip(path, path[1:])) + list(zip(side, side[1:]))
+    shapes = ["path"] + rng.choices(SHAPES, k=rng.randint(1, 3))
+    return shaped_network(rng, shapes, bottom=(path + side, links)), cid(1, path[m])
+
+
+SHAPES = ["path", "star", "tree", "isolated"]
+
+
+def one_node_case(case, rng):
+    """A network and a scenario of one failed node below the top layer (plus
+    one link on its layer for "injected-link"), for each class of layer the
+    one-node shortcut meets."""
+    links = []
+    if case == "tie":
+        net, node = tie_network(rng)
+        return net, FaultScenario.of([node], label=case)
+    if case == "inconsistent":
+        net = random_network(rng, max_nodes=16, consistent=False)
+        while net.depth < 2:
+            net = random_network(rng, max_nodes=16, consistent=False)
+    else:
+        bottom = case if case in SHAPES else rng.choice(SHAPES)
+        depth = rng.randint(3, 4) if case == "above-bottom" else rng.randint(2, 4)
+        net = shaped_network(rng, [bottom] + rng.choices(SHAPES, k=depth - 1))
+    alpha = rng.randint(2, net.depth - 1) if case == "above-bottom" else 1
+    if case == "injected-link":
+        while not net.layer(1).links:
+            net = shaped_network(rng, rng.choices(SHAPES, k=rng.randint(2, 4)))
+        links = [(alpha, rng.choice(net.layer(alpha).links))]
+    node = cid(alpha, rng.choice(net.layer(alpha).components).name)
+    return net, FaultScenario.of([node], links, label=case)
+
+
+@pytest.mark.parametrize(
+    "case", SHAPES + ["inconsistent", "above-bottom", "tie", "injected-link"]
+)
+@given(seed=st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_one_node_shortcut_matches_round_oracle(case, seed):
+    rng = random.Random(seed)
+    net, scenario = one_node_case(case, rng)
+    with patch.object(faults, "_labels_without", wraps=faults._labels_without) as spy:
+        result = run_cascade(net, scenario)
+    expected = oracles.oracle_cascade_rounds(net, scenario)
+    assert result == expected
+    assert emit_report(result, "machine") == emit_report(expected, "machine")
+    (node,) = scenario.failed_nodes
+    target = net.layer(node.layer_index)
+    v = target.node_ids[node.local_name]
+    # The shortcut answered the injected layer, or took the fallback when a
+    # link was injected there too. Layers can have equal graphs, so by identity.
+    ran = any(c.args[0] is target.graph and c.args[1] == v for c in spy.call_args_list)
+    assert ran == (case != "injected-link")
+
+
+def test_labels_are_not_recomputed_for_states_that_cannot_have_changed():
+    desk = desk_model()
+    with patch.object(faults, "_labels", wraps=faults._labels) as spy:
+        result = run_cascade(desk, FaultScenario.of([cid(1, "n00007")]))
+    assert len(result.rounds) == 1
+    assert spy.call_count == 0
+
+    # The benchmark's campaign workload on seed 23.
+    gen = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "gen.py"))
+    campaign = parse_model(gen["fragile"](23).document()).network
+    with patch.object(faults, "_labels", wraps=faults._labels) as spy:
+        exhaustive_single_faults(campaign)
+    assert spy.call_count <= 646
+
+
+def test_validate_builds_no_dfs_table_and_a_cascade_does(dual_homed_network):
+    validate(dual_homed_network)
+    assert not any("dfs" in vars(l.graph) for l in dual_homed_network.layers)
+    run_cascade(dual_homed_network, FaultScenario.of([cid(1, "p1")]))
+    assert "dfs" in vars(dual_homed_network.layer(1).graph)

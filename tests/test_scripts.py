@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import netstrata
 from netstrata.model_io import parse_model
 
@@ -39,3 +41,26 @@ def test_fault_campaign_prints_a_ranked_table():
     bottom = parse_model(model.read_text()).network.layer(1).components
     assert len(rows) == min(3, len(bottom))
     assert all(row.startswith("1/") for row in rows)
+
+
+def test_fault_campaign_rejects_a_malformed_document_with_one_error_line():
+    out = _run_script("fault_campaign.py", str(FIXTURES / "malformed.mln.json"))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == "error: line 4, column 1: Expecting value\n"
+
+
+def test_fault_campaign_reports_an_unreadable_path(tmp_path):
+    out = _run_script("fault_campaign.py", str(tmp_path / "missing.mln.json"))
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--max-layers", "--max-nodes"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_generate_model_rejects_sizes_below_one_as_a_usage_error(flag, value):
+    out = _run_script("generate_model.py", flag, value)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("usage: ")
+    assert f"argument {flag}: must be at least 1, got {value}" in out.stderr
