@@ -53,7 +53,6 @@ from .faults import (
     CascadeResult,
     FaultScenario,
     ImpactEntry,
-    UnknownScenarioElement,
     exhaustive_single_faults,
     run_cascade,
 )

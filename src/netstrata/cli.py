@@ -1,18 +1,21 @@
-"""Command-line front-end.
+"""Command-line front-end, on the standard library's argparse.
 
 Exit codes: 0 success / conforming, 1 violations found, 2 usage or parse
-error, or output that could not be written (a closed pipe, a full device).
-Diagnostics go to stderr; data goes to stdout.
+error, or output that could not be written (a closed pipe, a full device),
+help and version text included. Diagnostics go to stderr; data goes to
+stdout. Stdout and the `export -o` file are written as UTF-8 whatever the
+locale, as inputs are read. An interrupt is not caught, so it ends the
+process with SIGINT's status.
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
 import os
 import sys
 from pathlib import Path
 from typing import NoReturn, TextIO
-
-import click
 
 from . import __version__, analysis, consistency, faults, model_io, multiplex
 from .model import ComponentId, Mode
@@ -31,20 +34,22 @@ def _silence(stream: TextIO) -> None:
 def _usage_error(message: str) -> NoReturn:
     """Print one `error:` line, if stderr can still be written, and exit 2."""
     try:
-        click.echo(f"error: {message}", err=True)
+        print(f"error: {message}", file=sys.stderr, flush=True)
     except OSError:
         _silence(sys.stderr)
     sys.exit(2)
 
 
 def _write(text: str, output: str | None = None) -> None:
-    """Write `text` to the file `output`, or to stdout. A failed write is exit
-    2, not a result, so it never reads as "violations found"."""
+    """Write `text` as UTF-8 to the file `output`, or to stdout. A failed write
+    is exit 2, not a result, so it never reads as "violations found"."""
+    data = text.encode("utf-8")
     try:
         if output is None:
-            click.echo(text, nl=False)
+            sys.stdout.buffer.write(data)
+            sys.stdout.buffer.flush()
         else:
-            Path(output).write_text(text)
+            Path(output).write_bytes(data)
     except OSError as exc:
         if output is None:
             _silence(sys.stdout)
@@ -67,81 +72,59 @@ def _load(path: str, mode: str | None) -> ModelDocument:
         _usage_error(str(exc))
 
 
-mode_option = click.option(
-    "--mode",
-    type=click.Choice(["strict", "relaxed"]),
-    default=None,
-    envvar="NETSTRATA_MODE",
-    help="Override the mode declared in the model file.",
-)
-format_option = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["human", "machine"]),
-    default="human",
-    show_default=True,
-)
+class _Parser(argparse.ArgumentParser):
+    """argparse with one way out for each kind of text: help and version text
+    go through `_write`, because argparse's own writer swallows an `OSError`,
+    and a usage error goes through `_usage_error`."""
+
+    def __init__(self, **kwargs: object) -> None:
+        # No abbreviations and no `-h`: only the options declared here are accepted.
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def _print_message(self, message: str, file: TextIO | None = None) -> None:
+        _write(message)
+
+    def error(self, message: str) -> NoReturn:
+        _usage_error(message)
 
 
-@click.group()
-@click.version_option(__version__)
-def main() -> None:
-    """Model, validate, analyze, and fault-simulate hierarchical multilayer
-    networks."""
-
-
-@main.command()
-@click.argument("model", type=click.Path())
-@mode_option
-@format_option
-def validate(model: str, mode: str | None, fmt: str) -> None:
+def validate(args: argparse.Namespace) -> int:
     """Run the top-down consistency checks."""
-    doc = _load(model, mode)
+    doc = _load(args.model, args.mode)
     report = consistency.validate(doc.network)
-    _write(model_io.emit_report(report, fmt))
-    sys.exit(0 if report.passed else 1)
+    _write(model_io.emit_report(report, args.format))
+    return 0 if report.passed else 1
 
 
-@main.command()
-@click.argument("model", type=click.Path())
-@click.option("--layer", "layer_index", type=int, required=True)
-@mode_option
-def decompose(model: str, layer_index: int, mode: str | None) -> None:
+def decompose(args: argparse.Namespace) -> int:
     """List the protocol sub-layers of one layer."""
-    doc = _load(model, mode)
+    doc = _load(args.model, args.mode)
     try:
-        layer = doc.network.layer(layer_index)
+        layer = doc.network.layer(args.layer)
     except KeyError as exc:
         _usage_error(exc.args[0])
+    lines = []
     for sub in multiplex.decompose_layer(layer):
         links = ", ".join(f"({a}, {b})" for a, b in sub.links)
-        _write(f"protocol {sub.protocol}: {links}\n")
-    for p in multiplex.unused_protocols(layer):
-        _write(f"unused protocol: {p}\n")
+        lines.append(f"protocol {sub.protocol}: {links}\n")
+    lines += [f"unused protocol: {p}\n" for p in multiplex.unused_protocols(layer)]
     uncovered = multiplex.check_cover(layer)
-    for a, b in uncovered:
-        _write(f"uncovered link: ({a}, {b})\n")
-    if uncovered and doc.network.mode is Mode.STRICT:
-        sys.exit(1)
+    lines += [f"uncovered link: ({a}, {b})\n" for a, b in uncovered]
+    _write("".join(lines))
+    return 1 if uncovered and doc.network.mode is Mode.STRICT else 0
 
 
-@main.command()
-@click.argument("model", type=click.Path())
-@click.option("--layer", "layer_index", type=int, default=None)
-@mode_option
-@format_option
-def metrics(model: str, layer_index: int | None, mode: str | None, fmt: str) -> None:
+def metrics(args: argparse.Namespace) -> int:
     """Per-layer structural metrics."""
-    doc = _load(model, mode)
-    if layer_index is not None:
-        try:
-            layers = [doc.network.layer(layer_index)]
-        except KeyError as exc:
-            _usage_error(exc.args[0])
-    else:
-        layers = list(doc.network.layers)
+    doc = _load(args.model, args.mode)
+    try:
+        layers = doc.network.layers if args.layer is None else [doc.network.layer(args.layer)]
+    except KeyError as exc:
+        _usage_error(exc.args[0])
     bundle = {layer.index: analysis.layer_metrics(layer) for layer in layers}
-    _write(model_io.emit_report(bundle, fmt))
+    _write(model_io.emit_report(bundle, args.format))
+    return 0
 
 
 def _parse_node_spec(spec: str) -> ComponentId:
@@ -151,67 +134,83 @@ def _parse_node_spec(spec: str) -> ComponentId:
         try:
             layer_index = int(raw_layer)
         except ValueError:
-            raise faults.UnknownScenarioElement(f"bad node spec {spec!r}")
+            _usage_error(f"bad node spec {spec!r}")
     else:
         layer_index, name = 1, spec
     return ComponentId(layer_index, name)
 
 
-@main.command()
-@click.argument("model", type=click.Path())
-@click.option("--fail", "fail_spec", default=None, help="Comma-separated nodes, e.g. h1 or 2/s1.")
-@click.option("--scenario", "scenario_name", default=None, help="Named scenario from the model file.")
-@click.option("--exhaustive", is_flag=True, help="One cascade per bottom-layer node, ranked by impact.")
-@mode_option
-@format_option
-def simulate(
-    model: str,
-    fail_spec: str | None,
-    scenario_name: str | None,
-    exhaustive: bool,
-    mode: str | None,
-    fmt: str,
-) -> None:
+def simulate(args: argparse.Namespace) -> int:
     """Fault-injection cascade simulation."""
-    chosen = sum(x is not None for x in (fail_spec, scenario_name)) + int(exhaustive)
-    if chosen != 1:
-        _usage_error("pass exactly one of --fail, --scenario, --exhaustive")
-    doc = _load(model, mode)
-
-    if exhaustive:
+    doc = _load(args.model, args.mode)
+    if args.exhaustive:
         ranking = faults.exhaustive_single_faults(doc.network)
-        _write(model_io.emit_report(ranking, fmt))
-        return
-
+        _write(model_io.emit_report(ranking, args.format))
+        return 0
     try:
-        if scenario_name is not None:
-            scenario = doc.scenario(scenario_name)
+        if args.scenario is not None:
+            scenario = doc.scenario(args.scenario)
         else:
-            specs = [s.strip() for s in fail_spec.split(",")]
+            specs = [s.strip() for s in args.fail.split(",")]
             nodes = [_parse_node_spec(s) for s in specs if s]
             if not nodes:
                 _usage_error("--fail names no node")
-            scenario = faults.FaultScenario.of(nodes, label=f"fail {fail_spec}")
+            scenario = faults.FaultScenario.of(nodes, label=f"fail {args.fail}")
         result = faults.run_cascade(doc.network, scenario)
-    except (faults.UnknownScenarioElement, KeyError) as exc:
+    except KeyError as exc:
         _usage_error(exc.args[0])
-    _write(model_io.emit_report(result, fmt))
+    _write(model_io.emit_report(result, args.format))
+    return 0
 
 
-@main.command()
-@click.argument("model", type=click.Path())
-@click.option(
-    "--view",
-    type=click.Choice(["flatten", "layers", "sublayers"]),
-    default="flatten",
-    show_default=True,
-)
-@click.option("-o", "--output", type=click.Path(), default=None, help="Output file (default stdout).")
-@mode_option
-def export(model: str, view: str, output: str | None, mode: str | None) -> None:
+def export(args: argparse.Namespace) -> int:
     """Export the network as Graphviz DOT."""
-    doc = _load(model, mode)
-    _write(model_io.export_dot(doc.network, view), output)
+    doc = _load(args.model, args.mode)
+    _write(model_io.export_dot(doc.network, args.view), args.output)
+    return 0
+
+
+# Built once: it takes about 1 ms, and an in-process caller may run `main` often.
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="netstrata", description=main.__doc__)
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(title="commands", required=True)
+
+    def command(run, formats: bool = True) -> argparse.ArgumentParser:
+        sub = commands.add_parser(run.__name__, help=run.__doc__, description=run.__doc__)
+        sub.set_defaults(run=run)
+        sub.add_argument("model")
+        sub.add_argument("--mode", choices=("strict", "relaxed"),
+                         help="Override the mode declared in the model file.")
+        if formats:
+            sub.add_argument("--format", choices=("human", "machine"), default="human")
+        return sub
+
+    command(validate)
+    command(decompose, formats=False).add_argument("--layer", type=int, required=True)
+    command(metrics).add_argument("--layer", type=int)
+    chosen = command(simulate).add_mutually_exclusive_group(required=True)
+    chosen.add_argument("--fail", help="Comma-separated nodes, e.g. h1 or 2/s1.")
+    chosen.add_argument("--scenario", help="Named scenario from the model file.")
+    chosen.add_argument("--exhaustive", action="store_true",
+                        help="One cascade per bottom-layer node, ranked by impact.")
+    sub = command(export, formats=False)
+    sub.add_argument("--view", choices=("flatten", "layers", "sublayers"), default="flatten")
+    sub.add_argument("-o", "--output", help="Output file (default stdout).")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> NoReturn:
+    """Model, validate, analyze, and fault-simulate hierarchical multilayer
+    networks."""
+    args = _parser().parse_args(argv)
+    # --mode wins; an empty NETSTRATA_MODE counts as unset. argparse checks
+    # `choices` on the command line only, so the variable's value is checked here.
+    args.mode = args.mode or os.environ.get("NETSTRATA_MODE") or None
+    if args.mode not in (None, "strict", "relaxed"):
+        _usage_error(f"NETSTRATA_MODE: invalid choice: {args.mode!r} (choose from 'strict', 'relaxed')")
+    sys.exit(args.run(args))
 
 
 if __name__ == "__main__":

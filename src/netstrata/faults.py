@@ -25,10 +25,6 @@ from .model import (
 LinkRef = tuple[int, Link]  # (layer index, canonical name pair)
 
 
-class UnknownScenarioElement(ValueError):
-    """Scenario references a node or link absent from the network."""
-
-
 @dataclass(frozen=True)
 class FaultScenario:
     failed_nodes: frozenset[ComponentId] = frozenset()
@@ -102,7 +98,8 @@ def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeR
 
     Each round re-evaluates both rules against the state at the start of the
     round (Jacobi rounds); bottom-layer elements fail only by injection. The
-    recorded rounds exclude the injection itself.
+    recorded rounds exclude the injection itself. A scenario naming a node or
+    link that the network lacks raises `KeyError`.
 
     That state only grows, so a rule whose inputs did not change in the
     previous round cannot newly fire: each round checks only the dependents
@@ -126,21 +123,21 @@ def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeR
     lone: list[int | None] = [-1] * depth
     for node in scenario.failed_nodes:
         if not 1 <= node.layer_index <= depth:
-            raise UnknownScenarioElement(f"no layer {node.layer_index} for node {node}")
+            raise KeyError(f"no layer {node.layer_index} for node {node}")
         k = node.layer_index - 1
         i = layers[k].node_ids.get(node.local_name)
         if i is None:
-            raise UnknownScenarioElement(f"unknown component {node}")
+            raise KeyError(f"unknown component {node}")
         failed[k][i] = 1
         new_nodes[k].add(i)
         changed[k] = True
         lone[k] = i if lone[k] == -1 else None
     for idx, link in scenario.failed_links:
         if not 1 <= idx <= depth:
-            raise UnknownScenarioElement(f"no layer {idx} for link {link}")
+            raise KeyError(f"no layer {idx} for link {link}")
         j = layers[idx - 1].link_ids.get(link)
         if j is None:
-            raise UnknownScenarioElement(f"unknown link {link} on layer {idx}")
+            raise KeyError(f"unknown link {link} on layer {idx}")
         inactive[idx - 1][j] = 1
         changed[idx - 1] = True
         lone[idx - 1] = None

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import io
+import os
 import re
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from pathlib import Path
+from typing import NamedTuple
+from unittest import mock
 
 import pytest
 
+from netstrata.cli import main
 from netstrata.model import (
     Component,
     ComponentKind,
@@ -32,6 +38,26 @@ def exactly(message):
     stage raises one error type, so only the message and the path or position
     tell one rule from another."""
     return f"^{re.escape(message)}$"
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    output: str
+    stderr: str
+
+
+def run_cli(args, env=None):
+    """Run the CLI in this process, with `env` added to the environment, and
+    return its exit code, stdout and stderr. The CLI writes stdout as UTF-8
+    bytes, so `output` is those bytes decoded. Any exception other than the
+    CLI's own `SystemExit` propagates, so a crash fails the calling test."""
+    stdout, stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    # Restoring a patched environment rewrites all of it, so patch only for an `env`.
+    environ = mock.patch.dict(os.environ, env) if env else nullcontext()
+    with environ, redirect_stdout(stdout), redirect_stderr(stderr):
+        with pytest.raises(SystemExit) as raised:
+            main(args)
+    return CliResult(raised.value.code, stdout.buffer.getvalue().decode("utf-8"), stderr.getvalue())
 
 
 @pytest.fixture

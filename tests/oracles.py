@@ -258,17 +258,17 @@ def oracle_cascade_rounds(network: MultilayerNetwork, scenario):
     """Round-by-round reference cascade: every round sweeps every rule of
     every layer against the state at the start of the round (Jacobi rounds),
     relabelling the layer below from scratch for each upper layer."""
-    from netstrata.faults import CascadeResult, CascadeRound, UnknownScenarioElement
+    from netstrata.faults import CascadeResult, CascadeRound
     from netstrata.model import LayerRole
 
     for node in scenario.failed_nodes:
         if not 1 <= node.layer_index <= network.depth:
-            raise UnknownScenarioElement(f"no layer {node.layer_index}")
+            raise KeyError(f"no layer {node.layer_index}")
         if node.local_name not in network.layer(node.layer_index).component_names:
-            raise UnknownScenarioElement(f"unknown component {node}")
+            raise KeyError(f"unknown component {node}")
     for idx, link in scenario.failed_links:
         if not 1 <= idx <= network.depth or link not in network.layer(idx).links:
-            raise UnknownScenarioElement(f"unknown link {link} on layer {idx}")
+            raise KeyError(f"unknown link {link} on layer {idx}")
 
     def surviving_labels(layer, failed, inactive):
         survivors = [

@@ -6,72 +6,62 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import netstrata
+from netstrata import consistency
 from netstrata.cli import main
 from netstrata.generators import desk_model
 from netstrata.model_io import FORMAT_VERSION, ModelDocument, serialize_model
 
-from .conftest import FIXTURES
+from .conftest import FIXTURES, run_cli
 from .test_acceptance import ALL_FIXTURES, mutate
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def fx(name):
     return str(FIXTURES / name)
 
 
-def test_validate_consistent_fixture(runner):
-    result = runner.invoke(main, ["validate", fx("basic_stack.mln.json")])
+def test_validate_consistent_fixture():
+    result = run_cli(["validate", fx("basic_stack.mln.json")])
     assert result.exit_code == 0
     assert "PASSED" in result.output
 
 
-def test_validate_inconsistent_fixture(runner):
-    result = runner.invoke(main, ["validate", fx("inconsistent.mln.json")])
+def test_validate_inconsistent_fixture():
+    result = run_cli(["validate", fx("inconsistent.mln.json")])
     assert result.exit_code == 1
     assert "unsupported-node" in result.output
     assert "uncovered-link" in result.output
 
 
-def test_validate_malformed_file(runner):
-    result = runner.invoke(main, ["validate", fx("malformed.mln.json")])
+def test_validate_malformed_file():
+    result = run_cli(["validate", fx("malformed.mln.json")])
     assert result.exit_code == 2
     assert "line" in result.stderr
 
 
-def test_validate_missing_file(runner):
-    result = runner.invoke(main, ["validate", "/nonexistent.mln.json"])
+def test_validate_missing_file():
+    result = run_cli(["validate", "/nonexistent.mln.json"])
     assert result.exit_code == 2
 
 
-def test_validate_machine_format(runner):
-    result = runner.invoke(
-        main, ["validate", fx("basic_stack.mln.json"), "--format", "machine"]
-    )
+def test_validate_machine_format():
+    result = run_cli(["validate", fx("basic_stack.mln.json"), "--format", "machine"])
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["report_version"] == "1"
     assert payload["passed"] is True
 
 
-def test_mode_flag_overrides_file(runner):
+def test_mode_flag_overrides_file():
     # relaxed fixture forced strict: empty link set becomes a build error
-    result = runner.invoke(
-        main, ["validate", fx("dual_homed.mln.json"), "--mode", "strict"]
-    )
+    result = run_cli(["validate", fx("dual_homed.mln.json"), "--mode", "strict"])
     assert result.exit_code == 2
     assert result.stderr == "error: $.layers[1].links: layer 2 has no links (strict mode)\n"
 
 
-def test_mode_env_var(runner):
-    result = runner.invoke(
-        main,
+def test_mode_env_var():
+    result = run_cli(
         ["validate", fx("dual_homed.mln.json")],
         env={"NETSTRATA_MODE": "strict"},
     )
@@ -79,59 +69,64 @@ def test_mode_env_var(runner):
     assert result.stderr == "error: $.layers[1].links: layer 2 has no links (strict mode)\n"
 
 
-def test_decompose_ap(runner):
-    result = runner.invoke(main, ["decompose", fx("ap.mln.json"), "--layer", "1"])
+def test_mode_env_var_must_name_a_mode_unless_the_flag_wins():
+    args = ["validate", fx("dual_homed.mln.json")]
+    result = run_cli(args, env={"NETSTRATA_MODE": "bogus"})
+    assert result.exit_code == 2
+    assert result.stderr == (
+        "error: NETSTRATA_MODE: invalid choice: 'bogus' (choose from 'strict', 'relaxed')\n"
+    )
+    for env in ("bogus", "strict"):
+        result = run_cli([*args, "--mode", "relaxed"], env={"NETSTRATA_MODE": env})
+        assert result.exit_code == 0, result.stderr
+        assert "PASSED (relaxed mode)" in result.output
+
+
+def test_decompose_ap():
+    result = run_cli(["decompose", fx("ap.mln.json"), "--layer", "1"])
     assert result.exit_code == 0
     assert "protocol wired: (ap, sw)" in result.output
     assert "protocol wireless: (ap, cl)" in result.output
 
 
-def test_decompose_bad_layer(runner):
-    result = runner.invoke(main, ["decompose", fx("ap.mln.json"), "--layer", "7"])
+def test_decompose_bad_layer():
+    result = run_cli(["decompose", fx("ap.mln.json"), "--layer", "7"])
     assert result.exit_code == 2
 
 
-def test_decompose_uncovered_strict_exits_1(runner):
-    result = runner.invoke(
-        main, ["decompose", fx("inconsistent.mln.json"), "--layer", "1"]
-    )
+def test_decompose_uncovered_strict_exits_1():
+    result = run_cli(["decompose", fx("inconsistent.mln.json"), "--layer", "1"])
     assert result.exit_code == 1
     assert "uncovered link: (h1, h2)" in result.output
 
 
-def test_metrics_all_layers(runner):
-    result = runner.invoke(main, ["metrics", fx("basic_stack.mln.json")])
+def test_metrics_all_layers():
+    result = run_cli(["metrics", fx("basic_stack.mln.json")])
     assert result.exit_code == 0
     assert len(result.output.strip().splitlines()) == 4
 
 
-def test_metrics_single_layer_machine(runner):
-    result = runner.invoke(
-        main,
-        ["metrics", fx("basic_stack.mln.json"), "--layer", "1", "--format", "machine"],
-    )
+def test_metrics_single_layer_machine():
+    result = run_cli(["metrics", fx("basic_stack.mln.json"), "--layer", "1", "--format", "machine"])
     payload = json.loads(result.output)
     assert list(payload["layers"]) == ["1"]
     assert payload["layers"]["1"]["node_count"] == 2
 
 
-def test_metrics_bad_layer(runner):
-    result = runner.invoke(main, ["metrics", fx("basic_stack.mln.json"), "--layer", "9"])
+def test_metrics_bad_layer():
+    result = run_cli(["metrics", fx("basic_stack.mln.json"), "--layer", "9"])
     assert result.exit_code == 2
     assert result.stderr == "error: no layer with index 9\n"
 
 
-def test_simulate_fail_single(runner):
-    result = runner.invoke(
-        main, ["simulate", fx("dual_homed.mln.json"), "--fail", "p1"]
-    )
+def test_simulate_fail_single():
+    result = run_cli(["simulate", fx("dual_homed.mln.json"), "--fail", "p1"])
     assert result.exit_code == 0
     assert "functional layer alive" in result.output
 
 
-def test_simulate_fail_both(runner):
-    result = runner.invoke(
-        main,
+def test_simulate_fail_both():
+    result = run_cli(
         ["simulate", fx("dual_homed.mln.json"), "--fail", "p1,p2", "--format", "machine"],
     )
     payload = json.loads(result.output)
@@ -139,10 +134,10 @@ def test_simulate_fail_both(runner):
     assert payload["per_layer_survival"]["2"] == 0.0
 
 
-def test_simulate_fail_accepts_spaces_after_commas(runner):
+def test_simulate_fail_accepts_spaces_after_commas():
     def run(spec):
         args = ["simulate", fx("dual_homed.mln.json"), "--fail", spec, "--format", "machine"]
-        result = runner.invoke(main, args)
+        result = run_cli(args)
         assert result.exit_code == 0, result.output
         payload = json.loads(result.output)
         assert payload.pop("scenario") == f"fail {spec}"
@@ -153,26 +148,21 @@ def test_simulate_fail_accepts_spaces_after_commas(runner):
     assert spaced["final_failed_nodes"] == ["1/p1", "1/p2", "2/s"]
 
 
-def test_simulate_named_scenario(runner):
-    result = runner.invoke(
-        main,
+def test_simulate_named_scenario():
+    result = run_cli(
         ["simulate", fx("dual_homed.mln.json"), "--scenario", "one-host", "--format", "machine"],
     )
     payload = json.loads(result.output)
     assert payload["functional_alive"] is True
 
 
-def test_simulate_unknown_node(runner):
-    result = runner.invoke(
-        main, ["simulate", fx("dual_homed.mln.json"), "--fail", "ghost"]
-    )
+def test_simulate_unknown_node():
+    result = run_cli(["simulate", fx("dual_homed.mln.json"), "--fail", "ghost"])
     assert result.exit_code == 2
 
 
-def test_simulate_layer_qualified_node(runner):
-    result = runner.invoke(
-        main, ["simulate", fx("dual_homed.mln.json"), "--fail", "2/s"]
-    )
+def test_simulate_layer_qualified_node():
+    result = run_cli(["simulate", fx("dual_homed.mln.json"), "--fail", "2/s"])
     assert result.exit_code == 0
     assert "1 nodes failed in 0 rounds, functional layer DOWN" in result.output
 
@@ -187,70 +177,59 @@ def test_simulate_layer_qualified_node(runner):
     ],
     ids=["malformed-spec", "bad-layer", "no-node", "unknown-scenario"],
 )
-def test_simulate_bad_scenario_exits_2_with_one_line(runner, args, message):
-    result = runner.invoke(main, ["simulate", fx("dual_homed.mln.json"), *args])
+def test_simulate_bad_scenario_exits_2_with_one_line(args, message):
+    result = run_cli(["simulate", fx("dual_homed.mln.json"), *args])
     assert result.exit_code == 2
     assert result.stderr == f"error: {message}\n"
 
 
-def test_simulate_failed_links_scenario(runner, tmp_path):
+def test_simulate_failed_links_scenario(tmp_path):
     doc = json.loads((FIXTURES / "dual_homed.mln.json").read_text())
     doc["scenarios"] = [{"label": "cut", "failed_links": [{"layer": 1, "link": ["p2", "p1"]}]}]
     path = tmp_path / "cut.mln.json"
     path.write_text(json.dumps(doc))
-    result = runner.invoke(
-        main, ["simulate", str(path), "--scenario", "cut", "--format", "machine"]
-    )
+    result = run_cli(["simulate", str(path), "--scenario", "cut", "--format", "machine"])
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["final_inactive_links"] == [[1, ["p1", "p2"]]]
     assert payload["per_layer_largest_component_fraction"]["1"] == 0.5
 
 
-def test_simulate_exhaustive(runner):
-    result = runner.invoke(
-        main, ["simulate", fx("dedicated_chain.mln.json"), "--exhaustive"]
-    )
+def test_simulate_exhaustive():
+    result = run_cli(["simulate", fx("dedicated_chain.mln.json"), "--exhaustive"])
     assert result.exit_code == 0
     assert "1/host: 3 failed, functional DOWN" in result.output
 
 
-def test_simulate_requires_one_mode(runner):
-    result = runner.invoke(main, ["simulate", fx("dual_homed.mln.json")])
+def test_simulate_requires_one_mode():
+    result = run_cli(["simulate", fx("dual_homed.mln.json")])
     assert result.exit_code == 2
-    result = runner.invoke(
-        main,
-        ["simulate", fx("dual_homed.mln.json"), "--fail", "p1", "--exhaustive"],
-    )
+    result = run_cli(["simulate", fx("dual_homed.mln.json"), "--fail", "p1", "--exhaustive"])
     assert result.exit_code == 2
 
 
-def test_export_to_stdout(runner):
-    result = runner.invoke(main, ["export", fx("basic_stack.mln.json")])
+def test_export_to_stdout():
+    result = run_cli(["export", fx("basic_stack.mln.json")])
     assert result.exit_code == 0
     assert result.output.startswith("graph")
 
 
-def test_export_to_file(runner, tmp_path):
+def test_export_to_file(tmp_path):
     out = tmp_path / "net.dot"
-    result = runner.invoke(
-        main,
-        ["export", fx("ap.mln.json"), "--view", "sublayers", "-o", str(out)],
-    )
+    result = run_cli(["export", fx("ap.mln.json"), "--view", "sublayers", "-o", str(out)])
     assert result.exit_code == 0
     assert out.read_text().startswith("graph")
 
 
-def test_export_to_missing_directory_exits_2(runner, tmp_path):
+def test_export_to_missing_directory_exits_2(tmp_path):
     out = tmp_path / "missing" / "net.dot"
-    result = runner.invoke(main, ["export", fx("ap.mln.json"), "-o", str(out)])
+    result = run_cli(["export", fx("ap.mln.json"), "-o", str(out)])
     assert result.exit_code == 2
-    assert result.exception is None or isinstance(result.exception, SystemExit)
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-def test_fuzzed_documents_keep_the_exit_code_contract(runner, tmp_path):
+def test_fuzzed_documents_keep_the_exit_code_contract(tmp_path):
     rng = random.Random(11)
     seeds = [(FIXTURES / name).read_text() for name in ALL_FIXTURES]
     commands = [
@@ -267,27 +246,24 @@ def test_fuzzed_documents_keep_the_exit_code_contract(runner, tmp_path):
     for i in range(500):
         doc.write_text(mutate(rng, rng.choice(seeds)), encoding="utf-8")
         for command in commands + machine * (i % 2):
-            result = runner.invoke(main, [command[0], str(doc), *command[1:]])
+            result = run_cli([command[0], str(doc), *command[1:]])
             assert result.exit_code in (0, 1, 2), (command, doc.read_text())
-            assert result.exception is None or isinstance(result.exception, SystemExit), (
-                command,
-                doc.read_text(),
-            )
             exits.add(result.exit_code)
     assert exits == {0, 1, 2}
 
 
-def _run_cli_into(args, stdout, stderr=subprocess.PIPE):
+def _run_cli_into(args, stdout, stderr=subprocess.PIPE, env=None):
     """Run the CLI in a child process that writes its stdout to `stdout`, with
     stdout block-buffered as in a shell (PYTHONUNBUFFERED would hide bytes
-    left in the buffer after a failed write)."""
+    left in the buffer after a failed write), and with `env` added to the
+    environment."""
     src = str(Path(netstrata.__file__).parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    inherited = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     return subprocess.run(
         [sys.executable, "-m", "netstrata.cli", *args],
         stdout=stdout,
         stderr=stderr,
-        env={**env, "PYTHONPATH": src},
+        env={**inherited, "PYTHONPATH": src, **(env or {})},
         text=True,
     )
 
@@ -299,12 +275,22 @@ def _assert_one_error_line(out):
     assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
 
 
-@pytest.mark.parametrize("args", [["validate", "--format", "machine"], ["export"]])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["validate", fx("dual_homed.mln.json"), "--format", "machine"],
+        ["export", fx("dual_homed.mln.json")],
+        # Help and version text go through the same writer as a report.
+        ["--help"],
+        ["validate", "--help"],
+        ["--version"],
+    ],
+)
 def test_closed_stdout_pipe_exits_2(args):
     read, write = os.pipe()
     os.close(read)  # nobody reads: the child's first write to stdout fails
     try:
-        out = _run_cli_into([args[0], fx("dual_homed.mln.json"), *args[1:]], write)
+        out = _run_cli_into(args, write)
     finally:
         os.close(write)
     _assert_one_error_line(out)
@@ -335,9 +321,63 @@ def test_version_from_a_source_checkout():
     assert out.stdout.rstrip("\n").endswith(f"version {netstrata.__version__}")
 
 
-def test_commands_are_deterministic(runner):
-    a = runner.invoke(main, ["validate", fx("basic_stack.mln.json"), "--format", "machine"])
-    b = runner.invoke(main, ["validate", fx("basic_stack.mln.json"), "--format", "machine"])
+@pytest.mark.parametrize(
+    "args, usage",
+    [(["--help"], "usage: netstrata [--help]"), (["validate", "--help"], "usage: netstrata validate ")],
+)
+def test_help_goes_to_stdout(args, usage):
+    out = _run_cli_into(args, subprocess.PIPE)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith(usage)
+    assert out.stderr == ""
+
+
+def test_interrupt_propagates_out_of_main(monkeypatch):
+    # Not caught, so the process ends with SIGINT's status, not exit 1.
+    def interrupted(network):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(consistency, "validate", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["validate", fx("basic_stack.mln.json")])
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        {"PYTHONIOENCODING": "latin-1"},
+        {"PYTHONIOENCODING": "ascii"},
+        {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"},
+    ],
+    ids=["latin-1", "ascii", "c-locale"],
+)
+def test_output_is_utf8_whatever_the_locale(tmp_path, env):
+    # The `ap` fixture with its client renamed to a name outside Latin-1.
+    doc = tmp_path / "unicode.mln.json"
+    doc.write_bytes((FIXTURES / "ap.mln.json").read_bytes().replace(b'"cl"', '"名"'.encode()))
+    expected = run_cli(["export", str(doc)]).output.encode("utf-8")
+    assert "名".encode() in expected
+    stdout, dot = tmp_path / "stdout.dot", tmp_path / "file.dot"
+    with open(stdout, "wb") as stream:
+        out = _run_cli_into(["export", str(doc)], stream, env=env)
+    assert out.returncode == 0, out.stderr
+    out = _run_cli_into(["export", str(doc), "-o", str(dot)], subprocess.PIPE, env=env)
+    assert out.returncode == 0, out.stderr
+    assert stdout.read_bytes() == dot.read_bytes() == expected
+
+
+def test_export_keeps_control_characters_in_names(tmp_path):
+    # The bytes written do not depend on whether stdout is a terminal.
+    doc = tmp_path / "esc.mln.json"
+    doc.write_text((FIXTURES / "ap.mln.json").read_text().replace('"cl"', '"c\\u001b[31ml"'))
+    result = run_cli(["export", str(doc)])
+    assert result.exit_code == 0
+    assert "c\x1b[31ml" in result.output
+
+
+def test_commands_are_deterministic():
+    a = run_cli(["validate", fx("basic_stack.mln.json"), "--format", "machine"])
+    b = run_cli(["validate", fx("basic_stack.mln.json"), "--format", "machine"])
     assert a.output == b.output
 
 
@@ -352,7 +392,7 @@ def test_commands_are_deterministic(runner):
     ],
     ids=["non-utf8", "deep-nesting", "long-integer", "lone-surrogate"],
 )
-def test_unreadable_document_exits_2(runner, tmp_path, content):
+def test_unreadable_document_exits_2(tmp_path, content):
     doc = tmp_path / "bad.mln.json"
     doc.write_bytes(content)
     for command in (
@@ -362,9 +402,8 @@ def test_unreadable_document_exits_2(runner, tmp_path, content):
         ["export"],
         ["decompose", "--layer", "1"],
     ):
-        result = runner.invoke(main, [command[0], str(doc), *command[1:]])
+        result = run_cli([command[0], str(doc), *command[1:]])
         assert result.exit_code == 2, command
-        assert result.exception is None or isinstance(result.exception, SystemExit)
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), command
 
@@ -386,22 +425,32 @@ def test_cli_import_leaves_out_numeric_packages():
 
 
 # Runs `metrics` in both formats on every document named after the first
-# argument, all in one process, then prints each run and which of numpy and
-# scipy got loaded. With "blocked" as the first argument, importing either fails.
+# argument, all in one process, then prints each run, which of numpy and scipy
+# got loaded, and which packages outside the standard library and netstrata
+# importing the CLI and running it loaded. With "blocked" as the first
+# argument, importing numpy or scipy fails. The child captures each run's
+# output itself: the tests' `run_cli` would bring pytest into the modules.
 _METRICS_CHILD = """
-import json, sys
+import contextlib, io, json, sys
 if sys.argv[1] == "blocked":
     sys.modules["numpy"] = sys.modules["scipy"] = None
-from click.testing import CliRunner
+baseline = set(sys.modules)
 from netstrata.cli import main
-runs = [
-    CliRunner().invoke(main, ["metrics", doc, "--format", fmt])
-    for doc in sys.argv[2:]
-    for fmt in ("human", "machine")
-]
+
+def run(args):
+    stdout, stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            main(args)
+        except SystemExit as exc:
+            return [exc.code, stdout.buffer.getvalue().decode("utf-8"), stderr.getvalue()]
+
+runs = [run(["metrics", doc, "--format", fmt]) for doc in sys.argv[2:] for fmt in ("human", "machine")]
+loaded = {m.partition(".")[0] for m in set(sys.modules) - baseline}
 print(json.dumps({
-    "runs": [[r.exit_code, r.stdout, r.stderr] for r in runs],
+    "runs": runs,
     "loaded": sorted(m for m in ("numpy", "scipy") if sys.modules.get(m)),
+    "foreign": sorted(loaded - {*sys.stdlib_module_names, "netstrata"}),
 }))
 """
 
@@ -427,6 +476,7 @@ def test_metrics_on_small_models_leaves_out_numeric_packages(tmp_path):
 
     free, blocked = child("free"), child("blocked")
     assert free["loaded"] == []
+    assert free["foreign"] == blocked["foreign"] == []
     assert [code for code, _, _ in free["runs"]] == [0] * 2 * len(docs)
     assert "diameter 35" in free["runs"][-2][1]
     assert blocked["runs"] == free["runs"]
