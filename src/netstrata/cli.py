@@ -21,6 +21,8 @@ from . import __version__, analysis, consistency, faults, model_io, multiplex
 from .model import ComponentId, Mode
 from .model_io import ModelDocument, ModelParseError
 
+MODES = tuple(mode.value for mode in Mode)
+
 
 def _silence(stream: TextIO) -> None:
     """Point `stream` at /dev/null after a failed write. The unwritten bytes
@@ -82,6 +84,36 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(add_help=False, allow_abbrev=False, **kwargs)
         self.add_argument("--help", action="help", help="Show this message and exit.")
 
+    def parse_known_args(
+        self, args: list[str] | None = None, namespace: argparse.Namespace | None = None
+    ) -> tuple[argparse.Namespace, list[str]]:
+        # An option that takes a value takes the next argument whatever it is,
+        # and a short one the rest of its own argument, so `--fail -eth0` fails
+        # the node "-eth0" and `-o=x` writes the file "=x". argparse alone
+        # would read "-eth0" as an option and `-o=x` as the file "x".
+        takes_value = {s for a in self._actions if a.nargs is None for s in a.option_strings}
+        tokens = iter(sys.argv[1:] if args is None else args)
+        joined = []
+        for arg in tokens:
+            if arg in takes_value:
+                value = next(tokens, None)
+                arg = arg if value is None else f"{arg}={value}"
+            elif arg[:2] in takes_value:
+                arg = f"{arg[:2]}={arg[2:]}"
+            joined.append(arg)
+            if arg == "--":
+                joined += tokens
+        return super().parse_known_args(joined, namespace)
+
+    def _get_values(self, action: argparse.Action, arg_strings: list[str]) -> object:
+        # Before Python 3.13 argparse drops an option's value that is just "--",
+        # as in `--fail=--`, and hands the command an empty list.
+        if action.option_strings and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
     def _print_message(self, message: str, file: TextIO | None = None) -> None:
         _write(message)
 
@@ -108,9 +140,11 @@ def decompose(args: argparse.Namespace) -> int:
     for sub in multiplex.decompose_layer(layer):
         links = ", ".join(f"({a}, {b})" for a, b in sub.links)
         lines.append(f"protocol {sub.protocol}: {links}\n")
-    lines += [f"unused protocol: {p}\n" for p in multiplex.unused_protocols(layer)]
+    for p in multiplex.unused_protocols(layer):
+        lines.append(f"unused protocol: {p}\n")
     uncovered = multiplex.check_cover(layer)
-    lines += [f"uncovered link: ({a}, {b})\n" for a, b in uncovered]
+    for a, b in uncovered:
+        lines.append(f"uncovered link: ({a}, {b})\n")
     _write("".join(lines))
     return 1 if uncovered and doc.network.mode is Mode.STRICT else 0
 
@@ -118,10 +152,13 @@ def decompose(args: argparse.Namespace) -> int:
 def metrics(args: argparse.Namespace) -> int:
     """Per-layer structural metrics."""
     doc = _load(args.model, args.mode)
-    try:
-        layers = doc.network.layers if args.layer is None else [doc.network.layer(args.layer)]
-    except KeyError as exc:
-        _usage_error(exc.args[0])
+    if args.layer is not None:
+        try:
+            layers = [doc.network.layer(args.layer)]
+        except KeyError as exc:
+            _usage_error(exc.args[0])
+    else:
+        layers = list(doc.network.layers)
     bundle = {layer.index: analysis.layer_metrics(layer) for layer in layers}
     _write(model_io.emit_report(bundle, args.format))
     return 0
@@ -129,15 +166,13 @@ def metrics(args: argparse.Namespace) -> int:
 
 def _parse_node_spec(spec: str) -> ComponentId:
     """'layer/name' or bare name (assumed bottom layer)."""
-    if "/" in spec:
-        raw_layer, name = spec.split("/", 1)
-        try:
-            layer_index = int(raw_layer)
-        except ValueError:
-            _usage_error(f"bad node spec {spec!r}")
-    else:
-        layer_index, name = 1, spec
-    return ComponentId(layer_index, name)
+    raw_layer, slash, name = spec.partition("/")
+    if not slash:
+        return ComponentId(1, spec)
+    try:
+        return ComponentId(int(raw_layer), name)
+    except ValueError:
+        _usage_error(f"bad node spec {spec!r}")
 
 
 def simulate(args: argparse.Namespace) -> int:
@@ -181,7 +216,7 @@ def _parser() -> argparse.ArgumentParser:
         sub = commands.add_parser(run.__name__, help=run.__doc__, description=run.__doc__)
         sub.set_defaults(run=run)
         sub.add_argument("model")
-        sub.add_argument("--mode", choices=("strict", "relaxed"),
+        sub.add_argument("--mode", choices=MODES,
                          help="Override the mode declared in the model file.")
         if formats:
             sub.add_argument("--format", choices=("human", "machine"), default="human")
@@ -208,8 +243,9 @@ def main(argv: list[str] | None = None) -> NoReturn:
     # --mode wins; an empty NETSTRATA_MODE counts as unset. argparse checks
     # `choices` on the command line only, so the variable's value is checked here.
     args.mode = args.mode or os.environ.get("NETSTRATA_MODE") or None
-    if args.mode not in (None, "strict", "relaxed"):
-        _usage_error(f"NETSTRATA_MODE: invalid choice: {args.mode!r} (choose from 'strict', 'relaxed')")
+    if args.mode is not None and args.mode not in MODES:
+        choices = ", ".join(map(repr, MODES))
+        _usage_error(f"NETSTRATA_MODE: invalid choice: {args.mode!r} (choose from {choices})")
     sys.exit(args.run(args))
 
 

@@ -174,8 +174,18 @@ def test_simulate_layer_qualified_node():
         (["--fail", "9/p1"], "no layer 9 for node 9/p1"),
         (["--fail", ","], "--fail names no node"),
         (["--scenario", "nope"], "no scenario named 'nope'"),
+        # An option's value is the next argument, even one that starts with a dash.
+        (["--fail", "-eth0"], "unknown component 1/-eth0"),
+        (["--fail", "--mode"], "unknown component 1/--mode"),
+        (["--fail", "--"], "unknown component 1/--"),
+        (["--fail=--"], "unknown component 1/--"),
+        (["--scenario", "-x"], "no scenario named '-x'"),
     ],
-    ids=["malformed-spec", "bad-layer", "no-node", "unknown-scenario"],
+    ids=[
+        "malformed-spec", "bad-layer", "no-node", "unknown-scenario",
+        "dash-node", "option-named-node", "double-dash-node", "attached-double-dash",
+        "dash-scenario",
+    ],
 )
 def test_simulate_bad_scenario_exits_2_with_one_line(args, message):
     result = run_cli(["simulate", fx("dual_homed.mln.json"), *args])
@@ -219,6 +229,24 @@ def test_export_to_file(tmp_path):
     result = run_cli(["export", fx("ap.mln.json"), "--view", "sublayers", "-o", str(out)])
     assert result.exit_code == 0
     assert out.read_text().startswith("graph")
+
+
+@pytest.mark.parametrize(
+    "args, written",
+    [
+        (["-o", "-net.dot"], "-net.dot"),
+        (["-o", "--"], "--"),
+        (["--output", "-o"], "-o"),
+        (["-onet.dot"], "net.dot"),
+        (["-o=net.dot"], "=net.dot"),
+    ],
+    ids=["dash-file", "double-dash-file", "option-named-file", "attached", "attached-equals"],
+)
+def test_export_output_is_the_next_argument_whatever_it_is(tmp_path, monkeypatch, args, written):
+    monkeypatch.chdir(tmp_path)
+    result = run_cli(["export", fx("ap.mln.json"), *args])
+    assert result.exit_code == 0
+    assert [path.name for path in tmp_path.iterdir()] == [written]
 
 
 def test_export_to_missing_directory_exits_2(tmp_path):
