@@ -4,8 +4,8 @@ desk-scale benchmark model."""
 
 import argparse
 import random
-import sys
 
+from netstrata.cli import _write
 from netstrata.generators import desk_model, random_network
 from netstrata.model_io import FORMAT_VERSION, ModelDocument, serialize_model
 
@@ -39,7 +39,8 @@ def main() -> None:
             max_nodes=args.max_nodes,
             consistent=not args.inconsistent,
         )
-    sys.stdout.write(serialize_model(ModelDocument(FORMAT_VERSION, network)))
+    # The CLI's writer: a stdout that cannot be written is exit 2 and one `error:` line.
+    _write(serialize_model(ModelDocument(FORMAT_VERSION, network)))
 
 
 if __name__ == "__main__":

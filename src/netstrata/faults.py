@@ -121,7 +121,7 @@ def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeR
     # Per layer: -1 while unchanged; its one failed node while that node and
     # links incident to it are the whole change; None after any other change.
     lone: list[int | None] = [-1] * depth
-    for node in scenario.failed_nodes:
+    for node in sorted(scenario.failed_nodes):
         if not 1 <= node.layer_index <= depth:
             raise KeyError(f"no layer {node.layer_index} for node {node}")
         k = node.layer_index - 1
@@ -132,7 +132,7 @@ def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeR
         new_nodes[k].add(i)
         changed[k] = True
         lone[k] = i if lone[k] == -1 else None
-    for idx, link in scenario.failed_links:
+    for idx, link in sorted(scenario.failed_links):
         if not 1 <= idx <= depth:
             raise KeyError(f"no layer {idx} for link {link}")
         j = layers[idx - 1].link_ids.get(link)

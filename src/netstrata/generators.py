@@ -28,7 +28,6 @@ def random_layer(
     protocols: tuple[str, ...] = PROTOCOL_POOL[:3],
     ensure_cover: bool = True,
     connected: bool = False,
-    role: LayerRole = LayerRole.CUSTOM,
 ) -> Layer:
     """Random layer. With `ensure_cover` every component shares the first
     protocol, so every link's endpoints share at least one protocol."""
@@ -57,7 +56,7 @@ def random_layer(
         a, b = rng.sample(names, 2) if n >= 2 else (None, None)
         if a is not None:
             links.add(canonical_link(a, b))
-    return Layer.of(index, components, links, role, protocols)
+    return Layer.of(index, components, links, protocols=protocols)
 
 
 def random_network(

@@ -35,7 +35,7 @@ from .model import (
 from .reference import ConformanceReport
 
 FORMAT_VERSION = "1"
-REPORT_VERSION = "1"
+REPORT_VERSION = "2"
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
 
@@ -451,6 +451,7 @@ def report_payload(report: Any) -> dict[str, Any]:
                     "node": str(e.node),
                     "functional_alive": e.result.functional_alive,
                     "failed_count": e.result.total_failed,
+                    "round_count": len(e.result.rounds),
                 }
                 for e in report
             ]
@@ -503,8 +504,8 @@ def _human_lines(payload: dict[str, Any]) -> list[str]:
             for idx, m in payload["layers"].items()
         ]
     return [
-        f"{e['node']}: {e['failed_count']} failed, functional "
-        f"{'alive' if e['functional_alive'] else 'DOWN'}"
+        f"{e['node']}: {e['failed_count']} failed in {e['round_count']} rounds, "
+        f"functional {'alive' if e['functional_alive'] else 'DOWN'}"
         for e in payload["entries"]
     ]
 

@@ -11,7 +11,7 @@ import netstrata
 from netstrata import consistency
 from netstrata.cli import main
 from netstrata.generators import desk_model
-from netstrata.model_io import FORMAT_VERSION, ModelDocument, serialize_model
+from netstrata.model_io import FORMAT_VERSION, REPORT_VERSION, ModelDocument, serialize_model
 
 from .conftest import FIXTURES, run_cli
 from .test_acceptance import ALL_FIXTURES, mutate
@@ -49,7 +49,7 @@ def test_validate_machine_format():
     result = run_cli(["validate", fx("basic_stack.mln.json"), "--format", "machine"])
     assert result.exit_code == 0
     payload = json.loads(result.output)
-    assert payload["report_version"] == "1"
+    assert payload["report_version"] == REPORT_VERSION
     assert payload["passed"] is True
 
 
@@ -208,7 +208,30 @@ def test_simulate_failed_links_scenario(tmp_path):
 def test_simulate_exhaustive():
     result = run_cli(["simulate", fx("dedicated_chain.mln.json"), "--exhaustive"])
     assert result.exit_code == 0
-    assert "1/host: 3 failed, functional DOWN" in result.output
+    assert "1/host: 3 failed in 2 rounds, functional DOWN" in result.output
+
+
+def test_simulate_exhaustive_machine_ranks_bottom_nodes_with_their_rounds():
+    args = ["simulate", fx("extended_stack.mln.json"), "--exhaustive", "--format", "machine"]
+    result = run_cli(args)
+    assert result.exit_code == 0
+    assert json.loads(result.output)["entries"] == [
+        {"node": "1/power", "functional_alive": False, "failed_count": 11, "round_count": 5},
+        {"node": "1/climate", "functional_alive": True, "failed_count": 1, "round_count": 1},
+    ]
+
+
+def test_simulate_exhaustive_rejects_a_malformed_document_with_one_error_line():
+    result = run_cli(["simulate", fx("malformed.mln.json"), "--exhaustive"])
+    assert result.exit_code == 2
+    assert result.output == ""
+    assert result.stderr == "error: line 4, column 1: Expecting value\n"
+
+
+def test_simulate_exhaustive_reports_an_unreadable_path(tmp_path):
+    result = run_cli(["simulate", str(tmp_path / "missing.mln.json"), "--exhaustive"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
 def test_simulate_requires_one_mode():
@@ -339,6 +362,15 @@ def test_full_device_on_stdout_exits_2():
     with open("/dev/full", "w") as full:
         out = _run_cli_into(["metrics", fx("dual_homed.mln.json")], full)
     _assert_one_error_line(out)
+
+
+def test_scenario_errors_do_not_depend_on_the_hash_seed():
+    # Both nodes are unknown; the first in sorted order is the one reported.
+    args = ["simulate", fx("ap.mln.json"), "--fail", "p1,2/s"]
+    for seed in ("1", "3"):
+        out = _run_cli_into(args, subprocess.PIPE, env={"PYTHONHASHSEED": seed})
+        assert out.returncode == 2
+        assert out.stderr == "error: unknown component 1/p1\n", seed
 
 
 def test_version_from_a_source_checkout():

@@ -16,7 +16,7 @@ from netstrata.faults import (
 )
 from netstrata.generators import desk_model, random_network
 from netstrata.model import ComponentId, ComponentKind, CrossLayer, LayerRole, Mode, build_network
-from netstrata.model_io import emit_report, parse_model
+from netstrata.model_io import emit_report, parse_model, report_payload
 
 from . import oracles
 from .conftest import comp, layer
@@ -218,6 +218,17 @@ def test_exhaustive_ranking_matches_round_oracle(seed):
         key=lambda p: (p[1].functional_alive, -p[1].total_failed, p[0].local_name),
     )
     assert [(e.node, e.result) for e in exhaustive_single_faults(net)] == expected
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_campaign_round_count_is_the_cascade_round_count(seed):
+    net = random_network(random.Random(seed), max_nodes=16, consistent=False)
+    ranking = exhaustive_single_faults(net)
+    for entry, impact in zip(report_payload(ranking)["entries"], ranking, strict=True):
+        alone = run_cascade(net, FaultScenario.of([impact.node]))
+        assert entry["node"] == str(impact.node)
+        assert entry["round_count"] == len(alone.rounds)
 
 
 @given(seed=st.integers(0, 20_000))
