@@ -109,7 +109,12 @@ def _expect(value: Any, typ: type, path: str, what: str) -> Any:
     return value
 
 
-def _closed(obj: Mapping[str, Any], allowed: set[str], required: set[str], path: str) -> None:
+def _closed(
+    obj: Mapping[str, Any], allowed: set[str], required: tuple[str, ...], path: str
+) -> None:
+    """`obj` is an object with only `allowed` fields; the first of `required`
+    (in schema order, so the message does not depend on the hash seed) that is
+    missing is reported."""
     _expect(obj, dict, path, "an object")
     for key in obj:
         if key not in allowed:
@@ -130,7 +135,7 @@ def _string_pair(value: Any, path: str) -> tuple[str, str]:
 
 
 def _parse_component(obj: Any, path: str) -> Component:
-    _closed(obj, {"name", "kind", "protocols", "attributes"}, {"name", "kind", "protocols"}, path)
+    _closed(obj, {"name", "kind", "protocols", "attributes"}, ("name", "kind", "protocols"), path)
     name = _expect(obj["name"], str, f"{path}.name", "a string")
     kind_raw = _expect(obj["kind"], str, f"{path}.kind", "a string")
     try:
@@ -151,7 +156,7 @@ def _parse_component(obj: Any, path: str) -> Component:
 
 def _parse_layer(obj: Any, index: int, path: str) -> Layer:
     """The layer as written; `build_network` checks and canonicalizes it."""
-    _closed(obj, {"role", "protocols", "components", "links"}, {"role", "components"}, path)
+    _closed(obj, {"role", "protocols", "components", "links"}, ("role", "components"), path)
     role_raw = _expect(obj["role"], str, f"{path}.role", "a string")
     try:
         role = LayerRole(role_raw)
@@ -174,7 +179,7 @@ def _parse_layer(obj: Any, index: int, path: str) -> Layer:
 
 def _parse_cross_layer(obj: Any, path: str) -> CrossLayer:
     """The cross-layer as written; `build_network` checks and canonicalizes it."""
-    _closed(obj, {"upper_index", "projections"}, {"upper_index", "projections"}, path)
+    _closed(obj, {"upper_index", "projections"}, ("upper_index", "projections"), path)
     upper_index = _expect(obj["upper_index"], int, f"{path}.upper_index", "an integer")
     raw = _expect(obj["projections"], list, f"{path}.projections", "an array")
     projections = tuple(
@@ -184,7 +189,7 @@ def _parse_cross_layer(obj: Any, path: str) -> CrossLayer:
 
 
 def _parse_node_ref(obj: Any, layers: tuple[Layer, ...], path: str) -> ComponentId:
-    _closed(obj, {"layer", "name"}, {"layer", "name"}, path)
+    _closed(obj, {"layer", "name"}, ("layer", "name"), path)
     layer = _expect(obj["layer"], int, f"{path}.layer", "an integer")
     name = _expect(obj["name"], str, f"{path}.name", "a string")
     if not 1 <= layer <= len(layers):
@@ -197,7 +202,7 @@ def _parse_node_ref(obj: Any, layers: tuple[Layer, ...], path: str) -> Component
 
 
 def _parse_scenario(obj: Any, layers: tuple[Layer, ...], path: str) -> FaultScenario:
-    _closed(obj, {"label", "failed_nodes", "failed_links"}, {"label"}, path)
+    _closed(obj, {"label", "failed_nodes", "failed_links"}, ("label",), path)
     label = _expect(obj["label"], str, f"{path}.label", "a string")
     nodes = [
         _parse_node_ref(n, layers, f"{path}.failed_nodes[{i}]")
@@ -209,7 +214,7 @@ def _parse_scenario(obj: Any, layers: tuple[Layer, ...], path: str) -> FaultScen
     raw_links = _expect(obj.get("failed_links", []), list, f"{path}.failed_links", "an array")
     for i, entry in enumerate(raw_links):
         lpath = f"{path}.failed_links[{i}]"
-        _closed(entry, {"layer", "link"}, {"layer", "link"}, lpath)
+        _closed(entry, {"layer", "link"}, ("layer", "link"), lpath)
         layer = _expect(entry["layer"], int, f"{lpath}.layer", "an integer")
         if not 1 <= layer <= len(layers):
             raise ModelParseError(f"no layer {layer}", f"{lpath}.layer")
@@ -241,7 +246,7 @@ def parse_model(text: str, mode: Mode | str | None = None) -> ModelDocument:
     _closed(
         data,
         {"format_version", "mode", "layers", "cross_layers", "scenarios"},
-        {"format_version", "layers"},
+        ("format_version", "layers"),
         "$",
     )
     version = _expect(data["format_version"], str, "$.format_version", "a string")

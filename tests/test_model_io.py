@@ -1,9 +1,13 @@
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import netstrata
 from netstrata import analysis, consistency, faults, reference
 from netstrata.model import Mode
 from netstrata.model_io import (
@@ -190,6 +194,32 @@ def test_all_parse_errors_carry_positions():
         with pytest.raises(ModelParseError) as exc:
             parse_model(text)
         assert exc.value.position
+
+
+def test_first_missing_field_in_schema_order_whatever_the_hash_seed():
+    # Both `kind` and `protocols` are missing; `kind` comes first in the schema.
+    text = (
+        '{"format_version": "1", "layers": '
+        '[{"role": "custom", "components": [{"name": "a"}]}]}'
+    )
+    expected = "$.layers[0].components[0]: missing required field 'kind'"
+    with pytest.raises(ModelParseError, match=exactly(expected)):
+        parse_model(text)
+    code = (
+        "import sys\n"
+        "from netstrata.model_io import ModelParseError, parse_model\n"
+        "try:\n"
+        "    parse_model(sys.stdin.read())\n"
+        "except ModelParseError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(netstrata.__file__).parents[1])
+    for seed in ("1", "2", "3"):  # the set-ordered check reported `protocols` under 2 and 3
+        out = subprocess.run(
+            [sys.executable, "-c", code], input=text, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        )
+        assert out.stdout == expected + "\n", (seed, out.stderr)
 
 
 def test_scenarios_parse_and_lookup(fixtures_dir):
