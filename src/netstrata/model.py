@@ -8,6 +8,7 @@ structurally equal networks compare equal with `==`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -298,74 +299,103 @@ def unsupported_links(
     ]
 
 
-def _check_layer(layer: Layer, path: str, mode: Mode, warnings: list[str]) -> Layer:
-    """Check one layer as given at `path`, then return it canonicalized."""
+def _increasing(items: Sequence) -> bool:
+    """Whether `items` is strictly increasing, so sorting and deduplicating it
+    would change nothing. One O(n) pass; input already in canonical order,
+    as a canonical document is, skips the sort."""
+    return all(map(operator.lt, items, items[1:]))
+
+
+def _check_layer(
+    layer: Layer, path: str, mode: Mode, warnings: list[str]
+) -> tuple[Layer, dict[str, str]]:
+    """Check one layer as given at `path`, then return it canonicalized, with
+    each component name mapped to itself: a lookup in that map returns the
+    component's own name object, which every canonical link then shares."""
     at = f"layer {layer.index}"
     if not layer.components:
         raise ModelError(f"{at} has no components", f"{path}.components")
-    declared = set(layer.protocols)
-    names: set[str] = set()
+    declared = frozenset(layer.protocols)
+    names: dict[str, str] = {}
     for j, comp in enumerate(layer.components):
-        name, where = comp.name, f"{path}.components[{j}]"
+        name, spec = comp.name, comp.spec
         if not name:
             raise ModelError(
-                f"{at}: component name must be non-empty", f"{where}.name"
+                f"{at}: component name must be non-empty", f"{path}.components[{j}].name"
             )
         if "/" in name:
-            raise ModelError(f"{at}: component name {name!r} contains '/'", f"{where}.name")
+            raise ModelError(
+                f"{at}: component name {name!r} contains '/'", f"{path}.components[{j}].name"
+            )
         if name in names:
             raise ModelError(
-                f"{at}: duplicate component name {name!r}", f"{where}.name"
+                f"{at}: duplicate component name {name!r}", f"{path}.components[{j}].name"
             )
-        names.add(name)
-        if not comp.spec.protocols:
+        names[name] = name
+        if not spec.protocols:
             raise ModelError(
-                f"{at}: component {name!r} declares no protocols", f"{where}.protocols"
+                f"{at}: component {name!r} declares no protocols",
+                f"{path}.components[{j}].protocols",
             )
-        undeclared = set(comp.protocols) - declared
-        if undeclared:
+        if not declared.issuperset(spec.protocols):
             raise ModelError(
-                f"{at}: component {name!r} uses protocols {sorted(undeclared)} missing from "
-                "the layer protocol set",
-                f"{where}.protocols",
+                f"{at}: component {name!r} uses protocols "
+                f"{sorted(set(spec.protocols) - declared)} missing from the layer protocol set",
+                f"{path}.components[{j}].protocols",
             )
+    links: list[Link] = []
     for k, (a, b) in enumerate(layer.links):
         if a == b:
             raise ModelError(f"{at}: self-loop on {a!r}", f"{path}.links[{k}]")
-        for endpoint in (a, b):
-            if endpoint not in names:
-                raise ModelError(
-                    f"{at}: link ({a!r}, {b!r}) references unknown component {endpoint!r}",
-                    f"{path}.links[{k}]",
-                )
-    if not layer.links:
+        x, y = names.get(a), names.get(b)
+        if x is None or y is None:
+            raise ModelError(
+                f"{at}: link ({a!r}, {b!r}) references unknown component "
+                f"{a if x is None else b!r}",
+                f"{path}.links[{k}]",
+            )
+        links.append((x, y) if x < y else (y, x))
+    if not links:
         if mode is Mode.STRICT:
             raise ModelError(f"{at} has no links (strict mode)", f"{path}.links")
         warnings.append(f"{at} has no links")
     unused = declared.difference(*(c.protocols for c in layer.components))
     if unused:
         warnings.append(f"{at}: declared protocols {sorted(unused)} are supported by no component")
-    return Layer.of(layer.index, layer.components, layer.links, layer.role, layer.protocols)
+    if _increasing(list(names)) and _increasing(links):
+        canonical = Layer(
+            layer.index, layer.role, tuple(layer.components), tuple(links), tuple(sorted(declared))
+        )
+    else:
+        canonical = Layer.of(layer.index, layer.components, links, layer.role, declared)
+    return canonical, names
 
 
 def _check_cross_layer(
-    cross: CrossLayer, path: str, upper: Layer, lower: Layer, mode: Mode, warnings: list[str]
+    cross: CrossLayer, path: str, upper: dict[str, str], lower: dict[str, str],
+    mode: Mode, warnings: list[str],
 ) -> CrossLayer:
-    """Check one cross-layer as given at `path`, then return it canonicalized."""
+    """Check one cross-layer as given at `path` against the name maps of its
+    two layers, then return it canonicalized, sharing their name objects."""
     at = f"cross-layer {cross.upper_index}->{cross.upper_index - 1}"
     if not cross.projections:
         if mode is Mode.STRICT:
             raise ModelError(f"{at} has no projections (strict mode)", f"{path}.projections")
         warnings.append(f"{at} has no projections")
+    projections: list[Projection] = []
     for k, (up, low) in enumerate(cross.projections):
-        for side, name, known in (("upper", up, upper), ("lower", low, lower)):
-            if name not in known.node_ids:
-                raise ModelError(
-                    f"{at}: projection ({up!r}, {low!r}) references unknown {side} "
-                    f"component {name!r}",
-                    f"{path}.projections[{k}]",
-                )
-    return CrossLayer.of(cross.upper_index, cross.projections)
+        x, y = upper.get(up), lower.get(low)
+        if x is None or y is None:
+            side, name = ("upper", up) if x is None else ("lower", low)
+            raise ModelError(
+                f"{at}: projection ({up!r}, {low!r}) references unknown {side} "
+                f"component {name!r}",
+                f"{path}.projections[{k}]",
+            )
+        projections.append((x, y))
+    if _increasing(projections):
+        return CrossLayer(cross.upper_index, tuple(projections))
+    return CrossLayer.of(cross.upper_index, projections)
 
 
 def build_network(
@@ -389,7 +419,8 @@ def build_network(
         raise ModelError(f"layer indices must be exactly 1..N, got {indices}", "layers")
 
     warnings: list[str] = []
-    canonical = tuple(_check_layer(layers[i], f"layers[{i}]", mode, warnings) for i in order)
+    checked = [_check_layer(layers[i], f"layers[{i}]", mode, warnings) for i in order]
+    canonical = tuple(layer for layer, _ in checked)
 
     by_upper: dict[int, int] = {}
     for j, cross in enumerate(cross_layers):
@@ -413,7 +444,7 @@ def build_network(
     ordered_cross = tuple(
         _check_cross_layer(
             cross_layers[by_upper[alpha]], f"cross_layers[{by_upper[alpha]}]",
-            canonical[alpha - 1], canonical[alpha - 2], mode, warnings,
+            checked[alpha - 1][1], checked[alpha - 2][1], mode, warnings,
         )
         for alpha in range(2, len(layers) + 1)
     )

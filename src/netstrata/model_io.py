@@ -9,6 +9,7 @@ for malformed JSON, otherwise a JSON path to the offending element.
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 from dataclasses import asdict, dataclass
@@ -112,14 +113,11 @@ def _expect(value: Any, typ: type, path: str, what: str) -> Any:
 def _closed(
     obj: Mapping[str, Any], allowed: set[str], required: tuple[str, ...], path: str
 ) -> None:
-    """`obj` is an object with only `allowed` fields; the first of `required`
-    (in schema order, so the message does not depend on the hash seed) that is
-    missing is reported."""
     _expect(obj, dict, path, "an object")
     for key in obj:
         if key not in allowed:
             raise ModelParseError(f"unknown field {key!r}", path)
-    for key in required:
+    for key in required:  # schema order: the field named does not depend on the hash seed
         if key not in obj:
             raise ModelParseError(f"missing required field {key!r}", path)
 
@@ -134,8 +132,24 @@ def _string_pair(value: Any, path: str) -> tuple[str, str]:
     )
 
 
+def _string_pairs(raw: list[Any], path: str) -> tuple[tuple[str, str], ...]:
+    """`_string_pair` of each element of the array at `path`. A well-formed
+    pair is tested inline, without building its path; any other element goes
+    to `_string_pair`, which raises at its path."""
+    return tuple([
+        (p[0], p[1])
+        if type(p) is list and len(p) == 2 and type(p[0]) is str and type(p[1]) is str
+        else _string_pair(p, f"{path}[{i}]")
+        for i, p in enumerate(raw)
+    ])
+
+
+_COMPONENT_FIELDS = frozenset({"name", "kind", "protocols", "attributes"})
+_KINDS = {kind.value: kind for kind in ComponentKind}
+
+
 def _parse_component(obj: Any, path: str) -> Component:
-    _closed(obj, {"name", "kind", "protocols", "attributes"}, ("name", "kind", "protocols"), path)
+    _closed(obj, _COMPONENT_FIELDS, ("name", "kind", "protocols"), path)
     name = _expect(obj["name"], str, f"{path}.name", "a string")
     kind_raw = _expect(obj["kind"], str, f"{path}.kind", "a string")
     try:
@@ -154,7 +168,50 @@ def _parse_component(obj: Any, path: str) -> Component:
     return Component(name, kind, SpecSet.of(protocols, attributes))
 
 
-def _parse_layer(obj: Any, index: int, path: str) -> Layer:
+def _shared_spec(
+    specs: dict[Any, SpecSet], protocols: list[Any], attributes: dict[str, Any]
+) -> SpecSet | None:
+    """The document's one `SpecSet` of these raw protocols and attributes, or
+    None if one of them is not a string. `specs` maps each raw form seen, and
+    each `SpecSet` made, to that one."""
+    # Strings, then pairs: unambiguous, and unlike `(protocols, attributes)`
+    # it does not hash like the `SpecSet` stored beside it.
+    key = (*protocols, *attributes.items())
+    try:  # a hit holds only strings: no other JSON value equals one
+        spec = specs.get(key)
+    except TypeError:  # an array or object among them
+        return None
+    if spec is None and all(type(p) is str for p in protocols) and all(
+        type(v) is str for v in attributes.values()
+    ):
+        spec = SpecSet.of(protocols, attributes)
+        spec = specs[key] = specs.setdefault(spec, spec)
+    return spec
+
+
+def _parse_components(
+    raw: list[Any], path: str, specs: dict[Any, SpecSet]
+) -> tuple[Component, ...]:
+    """`_parse_component` of each element of the array at `path`. A
+    well-formed component is tested inline, without building its path; any
+    other element goes to `_parse_component`, which raises at its path."""
+    components = []
+    for i, c in enumerate(raw):
+        if type(c) is dict and c.keys() <= _COMPONENT_FIELDS:
+            name, kind, protocols = c.get("name"), c.get("kind"), c.get("protocols")
+            attributes = c.get("attributes", {})
+            if (
+                type(name) is str and type(kind) is str and kind in _KINDS
+                and type(protocols) is list and type(attributes) is dict
+                and (spec := _shared_spec(specs, protocols, attributes)) is not None
+            ):
+                components.append(Component(name, _KINDS[kind], spec))
+                continue
+        components.append(_parse_component(c, f"{path}[{i}]"))
+    return tuple(components)
+
+
+def _parse_layer(obj: Any, index: int, path: str, specs: dict[Any, SpecSet]) -> Layer:
     """The layer as written; `build_network` checks and canonicalizes it."""
     _closed(obj, {"role", "protocols", "components", "links"}, ("role", "components"), path)
     role_raw = _expect(obj["role"], str, f"{path}.role", "a string")
@@ -163,11 +220,9 @@ def _parse_layer(obj: Any, index: int, path: str) -> Layer:
     except ValueError:
         raise ModelParseError(f"unknown layer role {role_raw!r}", f"{path}.role")
     comps_raw = _expect(obj["components"], list, f"{path}.components", "an array")
-    components = tuple(
-        _parse_component(c, f"{path}.components[{i}]") for i, c in enumerate(comps_raw)
-    )
+    components = _parse_components(comps_raw, f"{path}.components", specs)
     links_raw = _expect(obj.get("links", []), list, f"{path}.links", "an array")
-    links = tuple(_string_pair(l, f"{path}.links[{i}]") for i, l in enumerate(links_raw))
+    links = _string_pairs(links_raw, f"{path}.links")
     if "protocols" in obj:
         protocols = _expect(obj["protocols"], list, f"{path}.protocols", "an array")
         for i, p in enumerate(protocols):
@@ -182,10 +237,7 @@ def _parse_cross_layer(obj: Any, path: str) -> CrossLayer:
     _closed(obj, {"upper_index", "projections"}, ("upper_index", "projections"), path)
     upper_index = _expect(obj["upper_index"], int, f"{path}.upper_index", "an integer")
     raw = _expect(obj["projections"], list, f"{path}.projections", "an array")
-    projections = tuple(
-        _string_pair(pair, f"{path}.projections[{i}]") for i, pair in enumerate(raw)
-    )
-    return CrossLayer(upper_index, projections)
+    return CrossLayer(upper_index, _string_pairs(raw, f"{path}.projections"))
 
 
 def _parse_node_ref(obj: Any, layers: tuple[Layer, ...], path: str) -> ComponentId:
@@ -229,7 +281,21 @@ def _parse_scenario(obj: Any, layers: tuple[Layer, ...], path: str) -> FaultScen
 
 def parse_model(text: str, mode: Mode | str | None = None) -> ModelDocument:
     """Parse and fully validate a model document. A given `mode` overrides
-    the one the document declares, which must still be valid."""
+    the one the document declares, which must still be valid.
+
+    The cyclic GC is paused meanwhile, and left as it was on every exit: the
+    parse makes no reference cycles, yet each collection the decoder's and
+    the model's many objects would set off scans them all again."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_document(text, mode)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse_document(text: str, mode: Mode | str | None) -> ModelDocument:
     try:
         data = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
@@ -262,8 +328,9 @@ def parse_model(text: str, mode: Mode | str | None = None) -> ModelDocument:
         raise ModelParseError(f"unknown mode {mode_raw!r}", "$.mode")
 
     layers_raw = _expect(data["layers"], list, "$.layers", "an array")
+    specs: dict[Any, SpecSet] = {}
     layers = [
-        _parse_layer(obj, i + 1, f"$.layers[{i}]") for i, obj in enumerate(layers_raw)
+        _parse_layer(obj, i + 1, f"$.layers[{i}]", specs) for i, obj in enumerate(layers_raw)
     ]
     cross_raw = _expect(data.get("cross_layers", []), list, "$.cross_layers", "an array")
     cross_layers = [

@@ -266,3 +266,48 @@ def test_component_labels_partition_in_first_seen_order(seed):
     )
     first_seen = list(dict.fromkeys(labels.values()))
     assert first_seen == list(range(len(groups)))
+
+
+def _scrambled(items, how, rng):
+    """`items` (canonical, strictly increasing) out of canonical order: in
+    reverse, with one adjacent pair swapped, or with one element repeated."""
+    items = list(items)
+    if how == "reverse":
+        return items[::-1]
+    if len(items) > 1:
+        i = rng.randrange(len(items) - 1)
+        if how == "swap":
+            items[i], items[i + 1] = items[i + 1], items[i]
+        else:
+            items.insert(i, items[i])
+    return items
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    consistent=st.booleans(),
+    how=st.sampled_from(["reverse", "swap", "duplicate"]),
+    flip=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_build_network_canonicalizes_input_out_of_order(seed, consistent, how, flip):
+    # build_network skips its sort for input that is already strictly
+    # increasing; anything else must still come out canonical.
+    net = random_network(random.Random(seed), consistent=consistent)
+    rng = random.Random(seed)
+    layers = [
+        Layer(
+            l.index, l.role, tuple(_scrambled(l.components, how, rng)),
+            tuple((b, a) if flip and rng.random() < 0.5 else (a, b)
+                  for a, b in _scrambled(l.links, how, rng)),
+            l.protocols[::-1],
+        )
+        for l in reversed(net.layers)
+    ]
+    if how == "duplicate":  # a repeated component is an error, so keep them canonical
+        layers = [dataclasses.replace(l, components=net.layer(l.index).components) for l in layers]
+    crosses = [
+        CrossLayer(c.upper_index, tuple(_scrambled(c.projections, how, rng)))
+        for c in reversed(net.cross_layers)
+    ]
+    assert build_network(layers, crosses, net.mode) == net

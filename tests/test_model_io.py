@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import netstrata
-from netstrata import analysis, consistency, faults, reference
+from netstrata import analysis, consistency, faults, model_io, reference
 from netstrata.model import Mode
 from netstrata.model_io import (
     ModelDocument,
@@ -437,3 +438,78 @@ def test_failed_links_scenario_round_trips():
     ]
     assert parse_model(text) == parsed
     assert serialize_model(parse_model(text)) == text
+
+
+def _own_names(network):
+    return {l.index: {c.name: c.name for c in l.components} for l in network.layers}
+
+
+def _scrambled_document(text):
+    """`text` with every array in reverse and every link pair flipped."""
+    raw = json.loads(text)
+    for layer_obj in raw["layers"]:
+        layer_obj["components"].reverse()
+        layer_obj["links"] = [link[::-1] for link in reversed(layer_obj["links"])]
+    for cross in raw.get("cross_layers", []):
+        cross["projections"].reverse()
+    return json.dumps(raw)
+
+
+@pytest.mark.parametrize("scrambled", [False, True], ids=["canonical", "scrambled"])
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_endpoints_are_their_components_name_objects(fixtures_dir, name, scrambled):
+    text = read(fixtures_dir, name)
+    network = parse_model(_scrambled_document(text) if scrambled else text).network
+    own = _own_names(network)
+    for layer in network.layers:
+        names = own[layer.index]
+        assert all(a is names[a] and b is names[b] for a, b in layer.links)
+    for cross in network.cross_layers:
+        upper, lower = own[cross.upper_index], own[cross.upper_index - 1]
+        assert all(u is upper[u] and l is lower[l] for u, l in cross.projections)
+
+
+def test_equal_spec_sets_within_a_document_are_one_object():
+    doc = _two_layer_doc()
+    comps = doc["layers"][0]["components"] + doc["layers"][1]["components"]
+    comps[0].update(protocols=["p", "q"], attributes={"rack": "1", "site": "a"})
+    comps[1].update(protocols=["q", "p"], attributes={"site": "a", "rack": "1"})
+    comps[2].update(protocols=["q", "p", "q"], attributes={"rack": "1", "site": "a"})
+    comps[3].update(protocols=["p"])
+    for layer_obj in doc["layers"]:
+        layer_obj["protocols"] = ["p", "q"]
+    network = parse_model(json.dumps(doc)).network
+    specs = [c.spec for l in network.layers for c in l.components]
+    assert specs[0] == specs[1] == specs[2] != specs[3]
+    assert specs[0] is specs[1] is specs[2]
+    # and equal to a spec set of its own: sharing stays within one document
+    assert parse_model(json.dumps(doc)).network.layers[0].components[0].spec is not specs[0]
+
+
+GC_CASES = {
+    "accepted": json.dumps(_two_layer_doc()),
+    "json-error": '{"format_version": "1", "layers": [',
+    "build-error": json.dumps(_two_layer_doc()).replace('["c", "d"]', '["c", "ghost"]'),
+}
+
+
+@pytest.mark.parametrize("case", list(GC_CASES))
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_parse_leaves_the_cyclic_gc_as_it_found_it(monkeypatch, case, enabled):
+    during = []
+    build = model_io.build_network
+    monkeypatch.setattr(
+        model_io, "build_network", lambda *a: during.append(gc.isenabled()) or build(*a)
+    )
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if case == "accepted":
+            parse_model(GC_CASES[case])
+        else:
+            with pytest.raises(ModelParseError):
+                parse_model(GC_CASES[case])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == ([] if case == "json-error" else [False])
