@@ -8,7 +8,6 @@ structurally equal networks compare equal with `==`.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -120,9 +119,10 @@ class Layer:
         protocols: Iterable[str] | None = None,
     ) -> "Layer":
         """Canonical constructor: sorts everything; protocols default to the
-        union of the components' supported protocols."""
+        union of the components' supported protocols. Deduplicating keeps the
+        input order, so input already sorted sorts in one linear pass."""
         comps = tuple(sorted(components, key=lambda c: c.name))
-        canon_links = tuple(sorted({canonical_link(a, b) for a, b in links}))
+        canon_links = tuple(sorted(dict.fromkeys(canonical_link(a, b) for a, b in links)))
         if protocols is None:
             protos: set[str] = set()
             for c in comps:
@@ -175,7 +175,7 @@ class CrossLayer:
 
     @staticmethod
     def of(upper_index: int, projections: Iterable[tuple[str, str]]) -> "CrossLayer":
-        return CrossLayer(upper_index, tuple(sorted(set(projections))))
+        return CrossLayer(upper_index, tuple(sorted(dict.fromkeys(projections))))
 
 
 @dataclass(frozen=True)
@@ -299,19 +299,12 @@ def unsupported_links(
     ]
 
 
-def _increasing(items: Sequence) -> bool:
-    """Whether `items` is strictly increasing, so sorting and deduplicating it
-    would change nothing. One O(n) pass; input already in canonical order,
-    as a canonical document is, skips the sort."""
-    return all(map(operator.lt, items, items[1:]))
-
-
 def _check_layer(
     layer: Layer, path: str, mode: Mode, warnings: list[str]
 ) -> tuple[Layer, dict[str, str]]:
     """Check one layer as given at `path`, then return it canonicalized, with
     each component name mapped to itself: a lookup in that map returns the
-    component's own name object, which every canonical link then shares."""
+    component's own name object, which every link endpoint then shares."""
     at = f"layer {layer.index}"
     if not layer.components:
         raise ModelError(f"{at} has no components", f"{path}.components")
@@ -354,7 +347,7 @@ def _check_layer(
                 f"{a if x is None else b!r}",
                 f"{path}.links[{k}]",
             )
-        links.append((x, y) if x < y else (y, x))
+        links.append((x, y))
     if not links:
         if mode is Mode.STRICT:
             raise ModelError(f"{at} has no links (strict mode)", f"{path}.links")
@@ -362,13 +355,7 @@ def _check_layer(
     unused = declared.difference(*(c.protocols for c in layer.components))
     if unused:
         warnings.append(f"{at}: declared protocols {sorted(unused)} are supported by no component")
-    if _increasing(list(names)) and _increasing(links):
-        canonical = Layer(
-            layer.index, layer.role, tuple(layer.components), tuple(links), tuple(sorted(declared))
-        )
-    else:
-        canonical = Layer.of(layer.index, layer.components, links, layer.role, declared)
-    return canonical, names
+    return Layer.of(layer.index, layer.components, links, layer.role, declared), names
 
 
 def _check_cross_layer(
@@ -393,8 +380,6 @@ def _check_cross_layer(
                 f"{path}.projections[{k}]",
             )
         projections.append((x, y))
-    if _increasing(projections):
-        return CrossLayer(cross.upper_index, tuple(projections))
     return CrossLayer.of(cross.upper_index, projections)
 
 

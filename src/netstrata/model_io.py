@@ -13,7 +13,7 @@ import gc
 import json
 import re
 from dataclasses import asdict, dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from . import multiplex
 from .consistency import ValidationReport
@@ -46,6 +46,7 @@ class ModelParseError(ValueError):
 
     def __init__(self, message: str, position: str):
         super().__init__(f"{position}: {message}")
+        self.message = message
         self.position = position
 
 
@@ -122,93 +123,71 @@ def _closed(
             raise ModelParseError(f"missing required field {key!r}", path)
 
 
-def _string_pair(value: Any, path: str) -> tuple[str, str]:
-    _expect(value, list, path, "a two-element array")
+def _string_pair(value: Any, path: str = "") -> tuple[str, str]:
+    """The pair at `path`. Here and in `_parse_component`, which run once per
+    element of long arrays, an exact-type test guards each `_expect`, so a
+    value that passes costs no call and no path."""
+    if type(value) is not list:
+        _expect(value, list, path, "a two-element array")
     if len(value) != 2:
         raise ModelParseError("expected a two-element array", path)
-    return (
-        _expect(value[0], str, f"{path}[0]", "a string"),
-        _expect(value[1], str, f"{path}[1]", "a string"),
-    )
+    a, b = value
+    if type(a) is not str:
+        _expect(a, str, f"{path}[0]", "a string")
+    if type(b) is not str:
+        _expect(b, str, f"{path}[1]", "a string")
+    return a, b
 
 
-def _string_pairs(raw: list[Any], path: str) -> tuple[tuple[str, str], ...]:
-    """`_string_pair` of each element of the array at `path`. A well-formed
-    pair is tested inline, without building its path; any other element goes
-    to `_string_pair`, which raises at its path."""
-    return tuple([
-        (p[0], p[1])
-        if type(p) is list and len(p) == 2 and type(p[0]) is str and type(p[1]) is str
-        else _string_pair(p, f"{path}[{i}]")
-        for i, p in enumerate(raw)
-    ])
+def _each(parse: Callable[..., Any], raw: list[Any], path: str, *args: Any) -> tuple:
+    """`parse(element, *args)` of each element of the array at `path`.
+    `parse` raises at a position relative to its element, which is made
+    absolute here: a document that parses builds no element path."""
+    parsed: list[Any] = []
+    try:
+        for value in raw:
+            parsed.append(parse(value, *args))
+    except ModelParseError as exc:
+        raise ModelParseError(exc.message, f"{path}[{len(parsed)}]{exc.position}") from None
+    return tuple(parsed)
 
 
 _COMPONENT_FIELDS = frozenset({"name", "kind", "protocols", "attributes"})
 _KINDS = {kind.value: kind for kind in ComponentKind}
 
 
-def _parse_component(obj: Any, path: str) -> Component:
-    _closed(obj, _COMPONENT_FIELDS, ("name", "kind", "protocols"), path)
-    name = _expect(obj["name"], str, f"{path}.name", "a string")
-    kind_raw = _expect(obj["kind"], str, f"{path}.kind", "a string")
-    try:
-        kind = ComponentKind(kind_raw)
-    except ValueError:
-        raise ModelParseError(
-            f"unknown component kind {kind_raw!r}", f"{path}.kind"
-        )
-    protocols = _expect(obj["protocols"], list, f"{path}.protocols", "an array")
-    for i, p in enumerate(protocols):
-        _expect(p, str, f"{path}.protocols[{i}]", "a string")
+def _parse_component(obj: Any, specs: dict[Any, SpecSet]) -> Component:
+    """The component, raising at positions relative to it. Equal specs
+    within one document come out as one `SpecSet`: `specs` maps each raw
+    form seen, and each `SpecSet` made, to that one."""
+    _closed(obj, _COMPONENT_FIELDS, ("name", "kind", "protocols"), "")
+    name, kind_raw, protocols = obj["name"], obj["kind"], obj["protocols"]
     attributes = obj.get("attributes", {})
-    _expect(attributes, dict, f"{path}.attributes", "an object")
+    if type(name) is not str:
+        _expect(name, str, ".name", "a string")
+    if type(kind_raw) is not str:
+        _expect(kind_raw, str, ".kind", "a string")
+    kind = _KINDS.get(kind_raw)
+    if kind is None:
+        raise ModelParseError(f"unknown component kind {kind_raw!r}", ".kind")
+    if type(protocols) is not list:
+        _expect(protocols, list, ".protocols", "an array")
+    for i, p in enumerate(protocols):
+        if type(p) is not str:
+            _expect(p, str, f".protocols[{i}]", "a string")
+    if type(attributes) is not dict:
+        _expect(attributes, dict, ".attributes", "an object")
     for k, v in attributes.items():
-        _expect(v, str, f"{path}.attributes.{k}", "a string")
-    return Component(name, kind, SpecSet.of(protocols, attributes))
-
-
-def _shared_spec(
-    specs: dict[Any, SpecSet], protocols: list[Any], attributes: dict[str, Any]
-) -> SpecSet | None:
-    """The document's one `SpecSet` of these raw protocols and attributes, or
-    None if one of them is not a string. `specs` maps each raw form seen, and
-    each `SpecSet` made, to that one."""
+        if type(v) is not str:
+            _expect(v, str, f".attributes.{k}", "a string")
     # Strings, then pairs: unambiguous, and unlike `(protocols, attributes)`
     # it does not hash like the `SpecSet` stored beside it.
     key = (*protocols, *attributes.items())
-    try:  # a hit holds only strings: no other JSON value equals one
-        spec = specs.get(key)
-    except TypeError:  # an array or object among them
-        return None
-    if spec is None and all(type(p) is str for p in protocols) and all(
-        type(v) is str for v in attributes.values()
-    ):
+    spec = specs.get(key)
+    if spec is None:
         spec = SpecSet.of(protocols, attributes)
         spec = specs[key] = specs.setdefault(spec, spec)
-    return spec
-
-
-def _parse_components(
-    raw: list[Any], path: str, specs: dict[Any, SpecSet]
-) -> tuple[Component, ...]:
-    """`_parse_component` of each element of the array at `path`. A
-    well-formed component is tested inline, without building its path; any
-    other element goes to `_parse_component`, which raises at its path."""
-    components = []
-    for i, c in enumerate(raw):
-        if type(c) is dict and c.keys() <= _COMPONENT_FIELDS:
-            name, kind, protocols = c.get("name"), c.get("kind"), c.get("protocols")
-            attributes = c.get("attributes", {})
-            if (
-                type(name) is str and type(kind) is str and kind in _KINDS
-                and type(protocols) is list and type(attributes) is dict
-                and (spec := _shared_spec(specs, protocols, attributes)) is not None
-            ):
-                components.append(Component(name, _KINDS[kind], spec))
-                continue
-        components.append(_parse_component(c, f"{path}[{i}]"))
-    return tuple(components)
+    return Component(name, kind, spec)
 
 
 def _parse_layer(obj: Any, index: int, path: str, specs: dict[Any, SpecSet]) -> Layer:
@@ -220,9 +199,9 @@ def _parse_layer(obj: Any, index: int, path: str, specs: dict[Any, SpecSet]) -> 
     except ValueError:
         raise ModelParseError(f"unknown layer role {role_raw!r}", f"{path}.role")
     comps_raw = _expect(obj["components"], list, f"{path}.components", "an array")
-    components = _parse_components(comps_raw, f"{path}.components", specs)
+    components = _each(_parse_component, comps_raw, f"{path}.components", specs)
     links_raw = _expect(obj.get("links", []), list, f"{path}.links", "an array")
-    links = _string_pairs(links_raw, f"{path}.links")
+    links = _each(_string_pair, links_raw, f"{path}.links")
     if "protocols" in obj:
         protocols = _expect(obj["protocols"], list, f"{path}.protocols", "an array")
         for i, p in enumerate(protocols):
@@ -237,7 +216,7 @@ def _parse_cross_layer(obj: Any, path: str) -> CrossLayer:
     _closed(obj, {"upper_index", "projections"}, ("upper_index", "projections"), path)
     upper_index = _expect(obj["upper_index"], int, f"{path}.upper_index", "an integer")
     raw = _expect(obj["projections"], list, f"{path}.projections", "an array")
-    return CrossLayer(upper_index, _string_pairs(raw, f"{path}.projections"))
+    return CrossLayer(upper_index, _each(_string_pair, raw, f"{path}.projections"))
 
 
 def _parse_node_ref(obj: Any, layers: tuple[Layer, ...], path: str) -> ComponentId:
@@ -285,7 +264,9 @@ def parse_model(text: str, mode: Mode | str | None = None) -> ModelDocument:
 
     The cyclic GC is paused meanwhile, and left as it was on every exit: the
     parse makes no reference cycles, yet each collection the decoder's and
-    the model's many objects would set off scans them all again."""
+    the model's many objects would set off scans them all again. The GC
+    switch is process-wide, so a thread that turns the GC on or off while a
+    parse runs has its choice undone when the parse ends."""
     enabled = gc.isenabled()
     gc.disable()
     try:

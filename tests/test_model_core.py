@@ -291,8 +291,8 @@ def _scrambled(items, how, rng):
 )
 @settings(max_examples=150, deadline=None)
 def test_build_network_canonicalizes_input_out_of_order(seed, consistent, how, flip):
-    # build_network skips its sort for input that is already strictly
-    # increasing; anything else must still come out canonical.
+    # A canonical document hands build_network sorted input, which sorts in
+    # one linear pass; input in any other order must still come out canonical.
     net = random_network(random.Random(seed), consistent=consistent)
     rng = random.Random(seed)
     layers = [
