@@ -20,7 +20,6 @@ from .multiplex import (
     ProtocolSubLayer,
     check_cover,
     decompose_layer,
-    multiplex_multiplicity,
     unused_protocols,
 )
 from .consistency import (
@@ -32,7 +31,6 @@ from .consistency import (
     check_node_support,
     check_path_consistency,
     classify_interlayer,
-    supporters,
     validate,
 )
 from .reference import (
@@ -43,11 +41,8 @@ from .reference import (
     role_of_kind_constraints,
 )
 from .analysis import (
-    InterlayerDegreeStats,
     LayerMetrics,
-    interlayer_degree_stats,
     layer_metrics,
-    sublayer_metrics,
 )
 from .faults import (
     CascadeResult,

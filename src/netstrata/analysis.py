@@ -4,13 +4,11 @@ failure (articulation points and bridges)."""
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
-from . import multiplex
 from .graphutil import cut_points
-from .model import Layer, Link, MultilayerNetwork
+from .model import Layer, Link
 
 # BFS sources per chunk; a chunk holds their trees as chunk * n int32 predecessors.
 _DIAMETER_CHUNK = 256
@@ -163,33 +161,3 @@ def layer_metrics(layer: Layer) -> LayerMetrics:
         articulation_points=tuple(layer.components[i].name for i in sorted(cut)),
         bridges=tuple(layer.links[j] for j in sorted(bridges)),
     )
-
-
-def sublayer_metrics(layer: Layer) -> dict[str, LayerMetrics]:
-    """Metrics per protocol sub-layer, computed over the full layer vertex
-    set so protocol reachability gaps show up as extra components."""
-    return {
-        sub.protocol: layer_metrics(replace(layer, links=sub.links))
-        for sub in multiplex.decompose_layer(layer)
-    }
-
-
-@dataclass(frozen=True)
-class InterlayerDegreeStats:
-    """Projection-degree histograms of one cross-layer, keyed degree -> node
-    count; the weighted sum of either side equals the projection count."""
-
-    upper_index: int
-    upper: Mapping[int, int]
-    lower: Mapping[int, int]
-
-
-def interlayer_degree_stats(
-    network: MultilayerNetwork, upper_index: int
-) -> InterlayerDegreeStats:
-    network.cross_layer(upper_index)  # KeyError unless 2 <= upper_index <= depth
-    supporters = network.substrate[upper_index - 1].supporters
-    dependents = network.substrate[upper_index - 2].dependents
-    upper_deg = Counter(len(ids) for ids in supporters if ids)
-    lower_deg = Counter(len(ids) for ids in dependents if ids)
-    return InterlayerDegreeStats(upper_index, dict(upper_deg), dict(lower_deg))

@@ -63,16 +63,6 @@ class ValidationReport:
         return not self.violations
 
 
-def supporters(network: MultilayerNetwork, component: ComponentId) -> set[ComponentId]:
-    """Lower-layer components this component projects onto."""
-    network.cross_layer(component.layer_index)  # KeyError on the bottom layer or above the top
-    k = component.layer_index - 1
-    up = network.layers[k].node_ids.get(component.local_name)
-    lows = network.substrate[k].supporters[up] if up is not None else ()
-    below = network.layers[k - 1].components
-    return {ComponentId(k, below[low].name) for low in lows}
-
-
 def check_node_support(network: MultilayerNetwork) -> list[Violation]:
     """Unsupported-node and cardinality violations for every cross-layer."""
     out: list[Violation] = []
@@ -126,34 +116,32 @@ def check_path_consistency(network: MultilayerNetwork) -> list[Violation]:
 
 def classify_interlayer(network: MultilayerNetwork, upper_index: int) -> InterlayerClass:
     """Classify every node incident to a cross-layer by the technology its
-    projection pattern represents. Each projection carries the labels implied
-    by its endpoint degrees and both endpoints inherit them; a node collecting
-    more than one distinct label is mixed. Classes are keyed lower layer first,
-    then upper layer, each in component (name) order, which is the order
-    reports print."""
+    projection pattern represents. A projection from an upper node with several
+    supporters means clustering, and one onto a lower node with several
+    dependents means virtualization-replication; a node is the one label its
+    projections imply, dedicated if they imply none, and mixed if they imply
+    both. Classes are keyed lower layer first, then upper layer, each in
+    component (name) order, which is the order reports print."""
     network.cross_layer(upper_index)  # KeyError unless 2 <= upper_index <= depth
     supporters = network.substrate[upper_index - 1].supporters
     dependents = network.substrate[upper_index - 2].dependents
-    lower_labels: list[set[NodeClass]] = [set() for _ in dependents]
-    upper_labels: list[set[NodeClass]] = [set() for _ in supporters]
-    for up, lows in enumerate(supporters):
-        for low in lows:
-            edge_labels: set[NodeClass] = set()
-            if len(lows) > 1:
-                edge_labels.add(NodeClass.CLUSTERING)
-            if len(dependents[low]) > 1:
-                edge_labels.add(NodeClass.VIRTUALIZATION_REPLICATION)
-            if not edge_labels:
-                edge_labels.add(NodeClass.DEDICATED)
-            upper_labels[up] |= edge_labels
-            lower_labels[low] |= edge_labels
-
+    replication, clustering = NodeClass.VIRTUALIZATION_REPLICATION, NodeClass.CLUSTERING
+    sides = (
+        (upper_index - 1, dependents, supporters, replication, clustering),
+        (upper_index, supporters, dependents, clustering, replication),
+    )
     classes: dict[ComponentId, NodeClass] = {}
-    for index, labels in ((upper_index - 1, lower_labels), (upper_index, upper_labels)):
-        for comp, ls in zip(network.layer(index).components, labels):
-            if ls:
-                cls = next(iter(ls)) if len(ls) == 1 else NodeClass.MIXED
-                classes[ComponentId(index, comp.name)] = cls
+    for index, own, other, own_label, other_label in sides:
+        several = {i for i, ids in enumerate(other) if len(ids) > 1}
+        for comp, ids in zip(network.layer(index).components, own):
+            if len(ids) == 1:
+                # One projection: the neighbour's side decides.
+                cls = other_label if ids[0] in several else NodeClass.DEDICATED
+            elif ids:
+                cls = own_label if several.isdisjoint(ids) else NodeClass.MIXED
+            else:
+                continue
+            classes[ComponentId(index, comp.name)] = cls
     return InterlayerClass(upper_index, classes)
 
 

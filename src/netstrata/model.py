@@ -50,7 +50,7 @@ class LayerRole(str, Enum):
     CUSTOM = "custom"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ComponentId:
     """Identity of a component: (layer index, name unique within the layer)."""
 
@@ -81,7 +81,7 @@ class SpecSet:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Component:
     name: str
     kind: ComponentKind

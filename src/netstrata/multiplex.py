@@ -45,9 +45,3 @@ def check_cover(layer: Layer) -> list[Link]:
     return sorted(
         link for link, shared in zip(layer.links, layer.link_protocols) if not shared
     )
-
-
-def multiplex_multiplicity(layer: Layer) -> dict[Link, int]:
-    """How many sub-layers each linked pair appears in; bounded by the size
-    of the layer's protocol set."""
-    return {link: len(shared) for link, shared in zip(layer.links, layer.link_protocols)}

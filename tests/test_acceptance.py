@@ -6,12 +6,13 @@ import random
 import re
 import string
 import time
+from collections import Counter
 from itertools import permutations
 
 from netstrata import analysis, consistency, faults, multiplex, reference
 from netstrata.generators import desk_model, random_layer, random_network
 from netstrata.model import ComponentId, CrossLayer, Mode, build_network
-from netstrata.model_io import ModelParseError, parse_model, serialize_model
+from netstrata.model_io import ModelDocument, ModelParseError, parse_model, serialize_model
 
 from . import oracles
 from .conftest import FIXTURES, comp, layer, make_stack
@@ -50,13 +51,13 @@ def test_criterion_2_multiplex_reconstruction():
     rng = random.Random(2)
     for _ in range(200):
         l = random_layer(rng, n_min=2, n_max=12, ensure_cover=True)
-        union = {
+        # each link once per sub-layer it appears in
+        multiplicity = Counter(
             link for sub in multiplex.decompose_layer(l) for link in sub.links
-        }
-        assert union == set(l.links)
+        )
+        assert set(multiplicity) == set(l.links)
         assert multiplex.check_cover(l) == []
-        for count in multiplex.multiplex_multiplicity(l).values():
-            assert count <= len(l.protocols)
+        assert all(count <= len(l.protocols) for count in multiplicity.values())
     report("2 multiplex-reconstruction", start, 5)
 
 
@@ -232,9 +233,12 @@ def mutate_token(rng, text):
         long = '"' + "x" * rng.randint(5_000, 50_000) + '"'
         return text.replace(rng.choice(strings), long, rng.choice([1, -1]))
     # a very long array: the first element of some array, repeated
-    m = rng.choice(list(re.finditer(r'(?<=\[)(\["[^"\\]*", "[^"\\]*"\]|"[^"\\]*")', text)))
-    run = ", ".join([m.group()] * rng.randint(500, 2_000))
-    return text[: m.start()] + run + text[m.end() :]
+    spots = list(re.finditer(r'(?<=\[)(\["[^"\\]*", "[^"\\]*"\]|"[^"\\]*")', text))
+    if not spots:  # an indented document, with a line break after every `[`
+        spots = list(re.finditer(r'\[\s*(\[\s*"[^"\\]*",\s*"[^"\\]*"\s*\]|"[^"\\]*")', text))
+    m = rng.choice(spots)
+    run = ", ".join([m.group(1)] * rng.randint(500, 2_000))
+    return text[: m.start(1)] + run + text[m.end(1) :]
 
 
 def mutate(rng, text):
@@ -259,6 +263,13 @@ def mutate(rng, text):
     return "".join(
         rng.choice(string.printable) for _ in range(rng.randrange(0, 200))
     )
+
+
+def test_mutate_token_edits_an_indented_document():
+    # serialize_model's indented output puts no element right after a `[`
+    text = serialize_model(ModelDocument("1", random_network(random.Random(3))))
+    for seed in range(200):
+        assert mutate_token(random.Random(seed), text) != text, seed
 
 
 def test_criterion_7_io_round_trip_and_fuzz():

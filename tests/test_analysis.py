@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from unittest.mock import patch
 
@@ -6,14 +7,9 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from netstrata import analysis
-from netstrata.analysis import (
-    interlayer_degree_stats,
-    layer_metrics,
-    sublayer_metrics,
-)
-from netstrata.generators import random_layer, random_network
+from netstrata.analysis import layer_metrics
+from netstrata.generators import random_layer
 from netstrata.graphutil import Graph
-from netstrata.model import CrossLayer, Mode, build_network
 from netstrata.multiplex import decompose_layer
 
 from . import oracles
@@ -68,63 +64,6 @@ def test_two_disjoint_links():
     assert m.diameter_of_largest_component == 1
 
 
-def test_sublayer_metrics_ap(ap_layer):
-    per_protocol = sublayer_metrics(ap_layer)
-    assert set(per_protocol) == {"wired", "wireless"}
-    wired = per_protocol["wired"]
-    # full vertex set is kept: the wireless client is isolated in the wired view
-    assert wired.node_count == 3
-    assert wired.link_count == 1
-    assert wired.connected_components == 2
-
-
-def test_sublayer_metrics_single_protocol_identity():
-    l = layer(1, [comp("a"), comp("b")], [("a", "b")])
-    per_protocol = sublayer_metrics(l)
-    assert per_protocol == {"p1": layer_metrics(l)}
-
-
-def test_sublayer_metrics_skips_unused_protocol():
-    l = layer(
-        1,
-        [comp("a", ["p1"]), comp("b", ["p1"])],
-        [("a", "b")],
-        protocols=["p1", "ghost"],
-    )
-    assert set(sublayer_metrics(l)) == {"p1"}
-
-
-def test_interlayer_degree_stats_one_to_one(basic_stack_network):
-    stats = interlayer_degree_stats(basic_stack_network, 2)
-    assert stats.upper == {1: 2}
-    assert stats.lower == {1: 2}
-
-
-def test_interlayer_degree_stats_clustering():
-    net = build_network(
-        [
-            layer(1, [comp("h1"), comp("h2"), comp("h3")], [("h1", "h2"), ("h2", "h3")]),
-            layer(2, [comp("s1")], []),
-        ],
-        [CrossLayer.of(2, [("s1", "h1"), ("s1", "h2"), ("s1", "h3")])],
-        Mode.RELAXED,
-    )
-    stats = interlayer_degree_stats(net, 2)
-    assert stats.upper == {3: 1}
-    assert stats.lower == {1: 3}
-
-
-@given(seed=st.integers(0, 10_000))
-@settings(max_examples=40, deadline=None)
-def test_bipartite_handshake(seed):
-    net = random_network(random.Random(seed), consistent=False)
-    for cross in net.cross_layers:
-        stats = interlayer_degree_stats(net, cross.upper_index)
-        upper_sum = sum(d * c for d, c in stats.upper.items())
-        lower_sum = sum(d * c for d, c in stats.lower.items())
-        assert upper_sum == lower_sum == len(cross.projections)
-
-
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_layer_handshake(seed):
@@ -143,8 +82,10 @@ def test_metrics_match_brute_force(seed, n_max):
     nodes = sorted(l.component_names)
     cases = [(layer_metrics(l), list(l.links))]
     # sub-layers keep every node, so they bring isolated nodes and many components
-    subs = {sub.protocol: list(sub.links) for sub in decompose_layer(l)}
-    cases += [(m, subs[p]) for p, m in sublayer_metrics(l).items()]
+    cases += [
+        (layer_metrics(dataclasses.replace(l, links=sub.links)), list(sub.links))
+        for sub in decompose_layer(l)
+    ]
     for m, links in cases:
         comps = oracles.bf_components(nodes, links)
         assert m.connected_components == len(comps)

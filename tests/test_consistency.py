@@ -10,7 +10,6 @@ from netstrata.consistency import (
     check_node_support,
     check_path_consistency,
     classify_interlayer,
-    supporters,
     validate,
 )
 from netstrata.generators import random_network
@@ -34,22 +33,6 @@ def two_over_three(l1_links, projections):
         [CrossLayer.of(2, projections)],
         Mode.RELAXED,
     )
-
-
-def test_supporters_lookup():
-    net = two_over_three([("h1", "h2")], [("s1", "h1"), ("s1", "h2"), ("s2", "h3")])
-    assert supporters(net, ComponentId(2, "s1")) == {
-        ComponentId(1, "h1"),
-        ComponentId(1, "h2"),
-    }
-    assert supporters(net, ComponentId(2, "s2")) == {ComponentId(1, "h3")}
-
-
-def test_supporters_bottom_layer_raises():
-    net = two_over_three([("h1", "h2")], [("s1", "h1"), ("s2", "h2")])
-    with pytest.raises(KeyError) as exc:
-        supporters(net, ComponentId(1, "h1"))
-    assert exc.value.args == ("no cross-layer with upper index 1",)
 
 
 def test_node_support_clean():
@@ -133,6 +116,9 @@ def test_classify_dedicated_pair():
     classes = classify_interlayer(net, 2).classes
     assert classes[ComponentId(2, "s1")] is NodeClass.DEDICATED
     assert classes[ComponentId(1, "h1")] is NodeClass.DEDICATED
+    with pytest.raises(KeyError) as exc:
+        classify_interlayer(net, 1)  # the bottom layer projects onto nothing
+    assert exc.value.args == ("no cross-layer with upper index 1",)
 
 
 def test_classify_mixed():

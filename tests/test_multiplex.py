@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,6 @@ from netstrata.model import Layer
 from netstrata.multiplex import (
     check_cover,
     decompose_layer,
-    multiplex_multiplicity,
     unused_protocols,
 )
 
@@ -71,7 +71,7 @@ def test_multiplicity_counts():
         [("a", "b"), ("a", "c")],
         protocols=["p1", "p2", "p3"],
     )
-    mult = multiplex_multiplicity(l)
+    mult = Counter(link for sub in decompose_layer(l) for link in sub.links)
     assert mult[("a", "b")] == 2
     assert mult[("a", "c")] == 0
     assert check_cover(l) == [("a", "c")]
@@ -93,8 +93,8 @@ def test_decomposition_properties(seed, ensure_cover):
     union = {link for sub in subs for link in sub.links}
     assert union | uncovered == layer_links
     assert not (union & uncovered)
-    for count in multiplex_multiplicity(l).values():
-        assert 0 <= count <= len(l.protocols)
+    for count in Counter(link for sub in subs for link in sub.links).values():
+        assert count <= len(l.protocols)
     if ensure_cover:
         assert uncovered == set()
         assert union == layer_links
@@ -127,6 +127,6 @@ def test_decomposition_matches_oracle(seed, narrow):
     assert set(check_cover(l)) == oracle_uncovered(l)
     shared = [{p for p, links in subs.items() if link in links} for link in l.links]
     assert list(l.link_protocols) == shared
-    assert multiplex_multiplicity(l) == {
-        link: len(ps) for link, ps in zip(l.links, shared)
+    assert Counter(link for sub in got for link in sub.links) == {
+        link: len(ps) for link, ps in zip(l.links, shared) if ps
     }
