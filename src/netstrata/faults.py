@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .graphutil import Graph, int_component_labels
+from .graphutil import Graph
 from .model import (
     ComponentId,
     LayerRole,
@@ -65,24 +65,10 @@ class CascadeResult:
         return len(self.final_failed_nodes)
 
 
-def _labels(graph: Graph, failed: bytearray, inactive: bytearray) -> list[int]:
-    """Component labels of a layer restricted to survivors and active links;
-    failed nodes get -1."""
-    return int_component_labels(
-        len(failed),
-        [
-            (a, b)
-            for j, (a, b) in enumerate(graph.links)
-            if not inactive[j] and not failed[a] and not failed[b]
-        ],
-        failed,
-    )
-
-
 def _labels_without(graph: Graph, v: int) -> tuple[list[int], list[int]]:
-    """What `_labels` gives when `v` is the layer's only failed node and only
-    links incident to it are inactive, read from the baseline labels and the
-    DFS table; and the nodes whose label that changes, `v` first."""
+    """What `graph.components` gives when `v` is the layer's only failed node
+    and only links incident to it are inactive, read from the baseline labels
+    and the DFS table; and the nodes whose label that changes, `v` first."""
     dfs, labels, moved = graph.dfs, list(graph.labels), [v]
     labels[v] = -1
     for fresh, w in enumerate(dfs.splits.get(v, ()), len(graph.sizes)):
@@ -161,7 +147,7 @@ def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeR
                 hit.update(j for j in sub.unsupported if not dead[j])
             if k and changed[k - 1]:
                 if lone[k - 1] is None:
-                    below = _labels(graphs[k - 1], failed[k - 1], inactive[k - 1])
+                    below = graphs[k - 1].components(failed[k - 1], inactive[k - 1])
                     hit.update(unsupported_links(graph, sub.supporters, below, dead))
                 else:
                     below, moved = _labels_without(graphs[k - 1], lone[k - 1])
@@ -180,7 +166,7 @@ def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeR
             for j in round_links[k]:
                 inactive[k][j] = 1
                 a, b = graph.links[j]
-                # A link with a failed endpoint is already out of `_labels`.
+                # A link with a failed endpoint is already out of `components`.
                 if not (down[a] or down[b]):
                     changed[k] = True
                     lone[k] = None
@@ -213,7 +199,7 @@ def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeR
             sizes[graph.labels[v]] -= 1 + sum(pieces)
             largest = max([*sizes.values(), *pieces])
         else:
-            labels = _labels(graph, failed[k], inactive[k])
+            labels = graph.components(failed[k], inactive[k])
             sizes = Counter(label for label in labels if label >= 0)
             largest = max(sizes.values(), default=0)
         survival[layer.index] = survivors / total

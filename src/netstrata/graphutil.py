@@ -9,40 +9,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 
-def int_component_labels(
-    n: int,
-    links: Iterable[tuple[int, int]],
-    dead: Sequence[int] = b"",
-) -> list[int]:
-    """Connected-component label per node `0..n-1`, via union-find.
-
-    Labels are numbered from 0 in order of each component's lowest node.
-    Nodes marked in `dead` get label -1 and must not appear in `links`.
-    """
-    parent = list(range(n))
-    for a, b in links:
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[a] = b
-
-    labels = [-1] * n
-    root_label: dict[int, int] = {}
-    for i in range(n):
-        if dead and dead[i]:
-            continue
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        label = root_label.get(root)
-        if label is None:
-            label = root_label[root] = len(root_label)
-        labels[i] = label
-    return labels
-
-
 def component_labels(
     nodes: Iterable[str], links: Iterable[tuple[str, str]]
 ) -> dict[str, int]:
@@ -51,10 +17,8 @@ def component_labels(
     index: dict[str, int] = {}
     for name in nodes:
         index.setdefault(name, len(index))
-    labels = int_component_labels(
-        len(index), [(index[a], index[b]) for a, b in links]
-    )
-    return dict(zip(index, labels))
+    graph = Graph.of(len(index), [(index[a], index[b]) for a, b in links])
+    return dict(zip(index, graph.labels))
 
 
 @dataclass(frozen=True)
@@ -77,7 +41,6 @@ class Graph:
 
     links: tuple[tuple[int, int], ...]
     incident: Sequence[Sequence[int]]  # link ids per node
-    labels: Sequence[int]  # from `int_component_labels`
 
     @staticmethod
     def of(n: int, links: Iterable[tuple[int, int]]) -> "Graph":
@@ -86,7 +49,40 @@ class Graph:
         for j, (a, b) in enumerate(links):
             incident[a].append(j)
             incident[b].append(j)
-        return Graph(links, incident, int_component_labels(n, links))
+        return Graph(links, incident)
+
+    def components(self, failed: Sequence[int] = b"", inactive: Sequence[int] = b"") -> list[int]:
+        """Connected-component label per node, over the nodes not marked in
+        `failed` and the links not marked in `inactive`; failed nodes get -1.
+        Labels are numbered from 0 in order of each component's lowest node."""
+        links, incident = self.links, self.incident
+        labels = [-1] * len(incident)
+        seen = bytearray(failed or len(incident))
+        fresh = 0
+        for root in range(len(incident)):
+            if seen[root]:
+                continue
+            seen[root] = 1
+            labels[root] = fresh
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                for j in incident[v]:
+                    if inactive and inactive[j]:
+                        continue
+                    a, b = links[j]
+                    w = b if a == v else a
+                    if not seen[w]:
+                        seen[w] = 1
+                        labels[w] = fresh
+                        stack.append(w)
+            fresh += 1
+        return labels
+
+    @cached_property
+    def labels(self) -> list[int]:
+        """Component labels with nothing failed, built on first use."""
+        return self.components()
 
     @cached_property
     def sizes(self) -> dict[int, int]:

@@ -15,6 +15,7 @@ from netstrata.faults import (
     run_cascade,
 )
 from netstrata.generators import desk_model, random_network
+from netstrata.graphutil import Graph
 from netstrata.model import ComponentId, ComponentKind, CrossLayer, LayerRole, Mode, build_network
 from netstrata.model_io import emit_report, parse_model, report_payload
 
@@ -424,8 +425,12 @@ def test_one_node_shortcut_matches_round_oracle(case, seed):
 
 
 def test_labels_are_not_recomputed_for_states_that_cannot_have_changed():
+    # Each layer's baseline labels are read first, so the spy on
+    # `Graph.components` counts only relabels of changed layers.
     desk = desk_model()
-    with patch.object(faults, "_labels", wraps=faults._labels) as spy:
+    for l in desk.layers:
+        l.graph.labels
+    with patch.object(Graph, "components", autospec=True, side_effect=Graph.components) as spy:
         result = run_cascade(desk, FaultScenario.of([cid(1, "n00007")]))
     assert len(result.rounds) == 1
     assert spy.call_count == 0
@@ -433,7 +438,9 @@ def test_labels_are_not_recomputed_for_states_that_cannot_have_changed():
     # The benchmark's campaign workload on seed 23.
     gen = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "gen.py"))
     campaign = parse_model(gen["fragile"](23).document()).network
-    with patch.object(faults, "_labels", wraps=faults._labels) as spy:
+    for l in campaign.layers:
+        l.graph.labels
+    with patch.object(Graph, "components", autospec=True, side_effect=Graph.components) as spy:
         exhaustive_single_faults(campaign)
     assert spy.call_count <= 646
 

@@ -16,7 +16,7 @@ from netstrata.model import (
     build_network,
 )
 from netstrata.generators import random_network
-from netstrata.graphutil import component_labels
+from netstrata.graphutil import Graph, component_labels
 
 from . import oracles
 from .conftest import comp, exactly, layer
@@ -256,16 +256,38 @@ def test_component_labels_partition_in_first_seen_order(seed):
     links = [
         tuple(rng.sample(nodes, 2)) for _ in range(rng.randint(0, 25)) if len(nodes) > 1
     ]
+
+    def check(labels, survivors, active):
+        """`labels` (name -> label of each survivor) split `survivors` as the
+        oracle does over `active`, numbered 0, 1, 2, ... in first-seen order."""
+        groups = {}
+        for n, lab in labels.items():
+            groups.setdefault(lab, set()).add(n)
+        assert sorted(map(sorted, groups.values())) == sorted(
+            map(sorted, oracles.bf_components(survivors, active))
+        )
+        first_seen = list(dict.fromkeys(labels.values()))
+        assert first_seen == list(range(len(groups)))
+
     labels = component_labels(nodes, links)
     assert list(labels) == nodes
-    groups = {}
-    for n, lab in labels.items():
-        groups.setdefault(lab, set()).add(n)
-    assert sorted(map(sorted, groups.values())) == sorted(
-        map(sorted, oracles.bf_components(nodes, links))
-    )
-    first_seen = list(dict.fromkeys(labels.values()))
-    assert first_seen == list(range(len(groups)))
+    check(labels, nodes, links)
+
+    # The masked form, on the same graph with its nodes numbered as listed.
+    index = {n: i for i, n in enumerate(nodes)}
+    graph = Graph.of(len(nodes), [(index[a], index[b]) for a, b in links])
+    assert graph.components() == graph.labels == list(labels.values())
+    failed = bytearray(rng.random() < 0.3 for _ in nodes)
+    inactive = bytearray(rng.random() < 0.3 for _ in links)
+    masked = graph.components(failed, inactive)
+    assert [lab < 0 for lab in masked] == list(map(bool, failed))
+    survivors = [n for n in nodes if not failed[index[n]]]
+    active = [
+        (a, b)
+        for (a, b), off in zip(links, inactive)
+        if not (off or failed[index[a]] or failed[index[b]])
+    ]
+    check({n: masked[index[n]] for n in survivors}, survivors, active)
 
 
 def _scrambled(items, how, rng):
