@@ -8,11 +8,9 @@ connected in the layer below. Propagation iterates to a fixed point.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .graphutil import Graph
 from .model import (
     ComponentId,
     LayerRole,
@@ -65,20 +63,6 @@ class CascadeResult:
         return len(self.final_failed_nodes)
 
 
-def _labels_without(graph: Graph, v: int) -> tuple[list[int], list[int]]:
-    """What `graph.components` gives when `v` is the layer's only failed node
-    and only links incident to it are inactive, read from the baseline labels
-    and the DFS table; and the nodes whose label that changes, `v` first."""
-    dfs, labels, moved = graph.dfs, list(graph.labels), [v]
-    labels[v] = -1
-    for fresh, w in enumerate(dfs.splits.get(v, ()), len(graph.sizes)):
-        piece = dfs.order[dfs.disc[w] : dfs.end[w]]
-        for x in piece:
-            labels[x] = fresh
-        moved.extend(piece)
-    return labels, moved
-
-
 def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeResult:
     """Propagate an injected fault set upward to its fixed point.
 
@@ -89,47 +73,58 @@ def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeR
 
     That state only grows, so a rule whose inputs did not change in the
     previous round cannot newly fire: each round checks only the dependents
-    of newly failed nodes, the links incident to them, and every link of a
-    layer whose layer below changed. The injection is the change before
-    round 1, which also inactivates the links unsupported with nothing
-    failed, since removing elements never connects anything. While a layer's
-    whole change is one failed node and links incident to it, its labels come
-    from the DFS table, and the layer above checks only the links incident to
-    the dependents of the nodes whose label changed.
+    of newly failed nodes, the links incident to them, and the links incident
+    to the dependents of the nodes whose component label changed in the layer
+    below. The injection is the change before round 1, which also inactivates
+    the links unsupported with nothing failed, since removing elements never
+    connects anything. A layer's labels and component sizes are copied from
+    its baseline on its first change and then split by `Graph.split` after
+    each change; a first change of exactly one failed node is read from the
+    DFS table instead (`Graph.without`).
     """
     substrate, layers = network.substrate, network.layers
     graphs = [layer.graph for layer in layers]
     depth = len(layers)
     failed = [bytearray(len(layer.components)) for layer in layers]
     inactive = [bytearray(len(layer.links)) for layer in layers]
+    # Per layer, from its first change on: component label per node (-1 once
+    # failed) and node count per label.
+    labels: list[list[int] | None] = [None] * depth
+    sizes: list[dict[int, int] | None] = [None] * depth
     new_nodes: list[set[int]] = [set() for _ in layers]
-    changed = [False] * depth
-    # Per layer: -1 while unchanged; its one failed node while that node and
-    # links incident to it are the whole change; None after any other change.
-    lone: list[int | None] = [-1] * depth
+    new_links: list[set[int]] = [set() for _ in layers]
     for node in sorted(scenario.failed_nodes):
         if not 1 <= node.layer_index <= depth:
             raise KeyError(f"no layer {node.layer_index} for node {node}")
-        k = node.layer_index - 1
-        i = layers[k].node_ids.get(node.local_name)
+        i = layers[node.layer_index - 1].node_ids.get(node.local_name)
         if i is None:
             raise KeyError(f"unknown component {node}")
-        failed[k][i] = 1
-        new_nodes[k].add(i)
-        changed[k] = True
-        lone[k] = i if lone[k] == -1 else None
+        new_nodes[node.layer_index - 1].add(i)
     for idx, link in sorted(scenario.failed_links):
         if not 1 <= idx <= depth:
             raise KeyError(f"no layer {idx} for link {link}")
         j = layers[idx - 1].link_ids.get(link)
         if j is None:
             raise KeyError(f"unknown link {link} on layer {idx}")
-        inactive[idx - 1][j] = 1
-        changed[idx - 1] = True
-        lone[idx - 1] = None
+        new_links[idx - 1].add(j)
     rounds: list[CascadeRound] = []
 
     while True:
+        # Apply the last change and collect, per layer, the nodes it relabelled.
+        moved: list[Sequence[int]] = [()] * depth
+        for k, (nodes, links) in enumerate(zip(new_nodes, new_links)):
+            if not (nodes or links):
+                continue
+            graph = graphs[k]
+            if labels[k] is None:
+                if len(nodes) == 1 and not links:
+                    (v,) = nodes
+                    failed[k][v] = 1
+                    labels[k], sizes[k], moved[k] = graph.without(v)
+                    continue
+                labels[k], sizes[k] = list(graph.labels), dict(graph.sizes)
+            moved[k] = graph.split(labels[k], sizes[k], failed[k], inactive[k], nodes, links)
+
         round_nodes: list[set[int]] = [set() for _ in layers]
         for k in range(1, depth):
             up_failed, low_failed = failed[k], failed[k - 1]
@@ -145,32 +140,14 @@ def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeR
             hit = {j for i in new_nodes[k] for j in graph.incident[i] if not dead[j]}
             if k and not rounds:
                 hit.update(j for j in sub.unsupported if not dead[j])
-            if k and changed[k - 1]:
-                if lone[k - 1] is None:
-                    below = graphs[k - 1].components(failed[k - 1], inactive[k - 1])
-                    hit.update(unsupported_links(graph, sub.supporters, below, dead))
-                else:
-                    below, moved = _labels_without(graphs[k - 1], lone[k - 1])
-                    deps = substrate[k - 1].dependents
-                    ids = {j for x in moved for d in deps[x] for j in graph.incident[d]}
-                    hit.update(unsupported_links(graph, sub.supporters, below, dead, ids))
+            if k and moved[k - 1]:
+                deps = substrate[k - 1].dependents
+                ids = {j for x in moved[k - 1] for d in deps[x] for j in graph.incident[d]}
+                hit.update(unsupported_links(graph, sub.supporters, labels[k - 1], dead, ids))
             round_links.append(hit)
 
         if not any(round_nodes) and not any(round_links):
             break
-        for k, (down, graph) in enumerate(zip(failed, graphs)):
-            for i in round_nodes[k]:
-                down[i] = 1
-                lone[k] = i if lone[k] == -1 else None
-            changed[k] = bool(round_nodes[k])
-            for j in round_links[k]:
-                inactive[k][j] = 1
-                a, b = graph.links[j]
-                # A link with a failed endpoint is already out of `components`.
-                if not (down[a] or down[b]):
-                    changed[k] = True
-                    lone[k] = None
-        new_nodes = round_nodes
         rounds.append(
             CascadeRound(
                 frozenset(
@@ -183,6 +160,7 @@ def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeR
                 ),
             )
         )
+        new_nodes, new_links = round_nodes, round_links
 
     survival: dict[int, float] = {}
     largest_fraction: dict[int, float] = {}
@@ -190,18 +168,7 @@ def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeR
     for k, (layer, graph) in enumerate(zip(layers, graphs)):
         total = len(layer.components)
         survivors = total - failed[k].count(1)
-        v = lone[k]
-        if v == -1:
-            largest = max(graph.sizes.values())
-        elif v is not None:
-            dfs, sizes = graph.dfs, Counter(graph.sizes)
-            pieces = [dfs.end[w] - dfs.disc[w] for w in dfs.splits.get(v, ())]
-            sizes[graph.labels[v]] -= 1 + sum(pieces)
-            largest = max([*sizes.values(), *pieces])
-        else:
-            labels = graph.components(failed[k], inactive[k])
-            sizes = Counter(label for label in labels if label >= 0)
-            largest = max(sizes.values(), default=0)
+        largest = max((graph.sizes if sizes[k] is None else sizes[k]).values())
         survival[layer.index] = survivors / total
         largest_fraction[layer.index] = largest / survivors if survivors else 0.0
         if layer.role is LayerRole.FUNCTIONAL and survivors:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from array import array
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -51,33 +51,139 @@ class Graph:
             incident[b].append(j)
         return Graph(links, incident)
 
-    def components(self, failed: Sequence[int] = b"", inactive: Sequence[int] = b"") -> list[int]:
-        """Connected-component label per node, over the nodes not marked in
-        `failed` and the links not marked in `inactive`; failed nodes get -1.
-        Labels are numbered from 0 in order of each component's lowest node."""
+    def components(self) -> list[int]:
+        """Connected-component label per node, numbered from 0 in order of
+        each component's lowest node."""
         links, incident = self.links, self.incident
         labels = [-1] * len(incident)
-        seen = bytearray(failed or len(incident))
         fresh = 0
         for root in range(len(incident)):
-            if seen[root]:
+            if labels[root] >= 0:
                 continue
-            seen[root] = 1
             labels[root] = fresh
             stack = [root]
             while stack:
                 v = stack.pop()
                 for j in incident[v]:
-                    if inactive and inactive[j]:
-                        continue
                     a, b = links[j]
                     w = b if a == v else a
-                    if not seen[w]:
-                        seen[w] = 1
+                    if labels[w] < 0:
                         labels[w] = fresh
                         stack.append(w)
             fresh += 1
         return labels
+
+    def without(self, v: int) -> tuple[list[int], dict[int, int], list[int]]:
+        """Labels and sizes with `v` the only failed node, read from the
+        baseline and the DFS table; and the nodes whose label that changes, `v`
+        first. Each split-off subtree takes a fresh label, numbered on from the
+        baseline's; the rest of `v`'s component keeps its label."""
+        dfs, labels, sizes, moved = self.dfs, list(self.labels), dict(self.sizes), [v]
+        old, labels[v] = labels[v], -1
+        sizes[old] -= 1
+        for w in dfs.splits.get(v, ()):
+            piece = dfs.order[dfs.disc[w] : dfs.end[w]]
+            fresh = len(sizes)
+            for x in piece:
+                labels[x] = fresh
+            sizes[fresh] = len(piece)
+            sizes[old] -= len(piece)
+            moved.extend(piece)
+        return labels, sizes, moved
+
+    def split(
+        self,
+        labels: list[int],
+        sizes: dict[int, int],
+        failed: bytearray,
+        inactive: bytearray,
+        nodes: Iterable[int],
+        links: Iterable[int],
+    ) -> list[int]:
+        """Remove `nodes` and `links`, not yet marked in `failed` and
+        `inactive`: mark them, and update `labels` (the component per node over
+        the nodes and links left, -1 per failed node) and `sizes` (the node
+        count per label, keys `0..len(sizes)-1`). Returns the nodes whose label
+        changed, the removed nodes first.
+
+        Removal only splits components, so this walks mainly the smaller
+        sides (Even & Shiloach, JACM 1981). The live ends of the removed
+        elements are the seeds, grouped by label. The searches of a group run
+        in lockstep in breadth-first order, one node per search per turn; those
+        that meet merge, and they stop once at most one still runs. Each
+        exhausted search is a whole piece and takes a fresh label. The running
+        one keeps the old label, or the largest piece if none runs."""
+        edges, incident = self.links, self.incident
+        moved = list(nodes)
+        ends = []  # ends of the active links that go; removed nodes are dropped below
+        for j in links:
+            a, b = edges[j]
+            if not (failed[a] or failed[b]):
+                ends += (a, b)
+            inactive[j] = 1
+        for v in moved:
+            for j in incident[v]:
+                if not inactive[j]:
+                    a, b = edges[j]
+                    w = b if a == v else a
+                    if not failed[w]:
+                        ends.append(w)
+        for v in moved:
+            failed[v] = 1
+            sizes[labels[v]] -= 1
+            labels[v] = -1
+        groups: dict[int, dict[int, None]] = {}
+        for w in ends:
+            if not failed[w]:
+                groups.setdefault(labels[w], {})[w] = None
+        for old, seeds in groups.items():
+            if len(seeds) < 2:
+                continue
+            owner = {s: i for i, s in enumerate(seeds)}  # node -> the search that found it
+            queues = [deque([s]) for s in seeds]  # per search: nodes still to expand
+            into = list(range(len(seeds)))  # per search: the search it merged into
+            running, done = into[:], []
+            while len(running) > 1:
+                for i in running:
+                    if into[i] != i:
+                        continue
+                    queue = queues[i]
+                    v = queue.popleft()
+                    for j in incident[v]:
+                        if inactive[j]:
+                            continue
+                        a, b = edges[j]
+                        w = b if a == v else a
+                        if failed[w]:
+                            continue
+                        o = owner.get(w)
+                        if o is None:
+                            owner[w] = i
+                            queue.append(w)
+                            continue
+                        while into[o] != o:
+                            o = into[o]
+                        if o != i:  # the searches meet: `i` takes over `o`
+                            into[o] = i
+                            queue += queues[o]
+                    if not queue:
+                        done.append(i)
+                running = [i for i in running if into[i] == i and queues[i]]
+            pieces: dict[int, list[int]] = {}
+            for w, o in owner.items():
+                while into[o] != o:
+                    o = into[o]
+                pieces.setdefault(o, []).append(w)
+            keep = running[0] if running else max(done, key=lambda i: len(pieces[i]))
+            for i in done:
+                if i != keep:
+                    fresh, piece = len(sizes), pieces[i]
+                    for w in piece:
+                        labels[w] = fresh
+                    sizes[fresh] = len(piece)
+                    sizes[old] -= len(piece)
+                    moved += piece
+        return moved
 
     @cached_property
     def labels(self) -> list[int]:

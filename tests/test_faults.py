@@ -1,5 +1,6 @@
 import random
 import runpy
+from collections import Counter
 from pathlib import Path
 from unittest.mock import patch
 
@@ -7,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netstrata import faults
 from netstrata.consistency import validate
 from netstrata.faults import (
     FaultScenario,
@@ -15,7 +15,7 @@ from netstrata.faults import (
     run_cascade,
 )
 from netstrata.generators import desk_model, random_network
-from netstrata.graphutil import Graph
+from netstrata.graphutil import Graph, cut_points
 from netstrata.model import ComponentId, ComponentKind, CrossLayer, LayerRole, Mode, build_network
 from netstrata.model_io import emit_report, parse_model, report_payload
 
@@ -410,7 +410,7 @@ def one_node_case(case, rng):
 def test_one_node_shortcut_matches_round_oracle(case, seed):
     rng = random.Random(seed)
     net, scenario = one_node_case(case, rng)
-    with patch.object(faults, "_labels_without", wraps=faults._labels_without) as spy:
+    with patch.object(Graph, "without", autospec=True, side_effect=Graph.without) as spy:
         result = run_cascade(net, scenario)
     expected = oracles.oracle_cascade_rounds(net, scenario)
     assert result == expected
@@ -418,15 +418,83 @@ def test_one_node_shortcut_matches_round_oracle(case, seed):
     (node,) = scenario.failed_nodes
     target = net.layer(node.layer_index)
     v = target.node_ids[node.local_name]
-    # The shortcut answered the injected layer, or took the fallback when a
-    # link was injected there too. Layers can have equal graphs, so by identity.
+    # The DFS table answered the injected layer, or the split search did when
+    # a link was injected there too. Layers can have equal graphs, so by identity.
     ran = any(c.args[0] is target.graph and c.args[1] == v for c in spy.call_args_list)
     assert ran == (case != "injected-link")
 
 
+def split_case(case, rng):
+    """A network, a scenario and the layer it changes by more than one failed
+    node, for each class of change the split search meets."""
+    if case == "inconsistent":
+        net = random_network(rng, max_nodes=16, consistent=False)
+    elif case == "tie":
+        # An even path cut in the middle, sometimes beside a path as long as
+        # each half: every piece has the same size.
+        m = rng.randint(1, 4)
+        names = [f"x1_{i}" for i in range(3 * m if rng.random() < 0.5 else 2 * m)]
+        path, side = names[: 2 * m], names[2 * m :]
+        rng.shuffle(path)
+        links = list(zip(path, path[1:])) + list(zip(side, side[1:]))
+        shapes = ["path"] + rng.choices(SHAPES, k=rng.randint(1, 3))
+        net = shaped_network(rng, shapes, bottom=(path + side, links))
+        return net, FaultScenario.of(links=[(1, (path[m - 1], path[m]))], label=case), 1
+    else:
+        net = shaped_network(rng, rng.choices(SHAPES, k=rng.randint(2, 4)))
+    alpha = rng.randint(1, net.depth)
+    target = net.layer(alpha)
+    names = [c.name for c in target.components]
+    nodes = []
+    if case == "cut-links":
+        _, bridges = cut_points(target.graph)
+        links = [target.links[j] for j in rng.sample(bridges, min(len(bridges), 3))]
+        links = links or rng.sample(target.links, min(len(target.links), 2))
+    elif case == "many-links":
+        links = rng.sample(target.links, min(len(target.links), rng.randint(2, 4)))
+    elif case == "many-faults":
+        links = []
+        nodes = rng.sample(names, min(len(names), rng.randint(2, 4)))
+    else:
+        links = rng.sample(target.links, min(len(target.links), rng.randint(0, 3)))
+        nodes = rng.sample(names, min(len(names), rng.randint(0, 3)))
+    scenario = FaultScenario.of(
+        [cid(alpha, x) for x in nodes], [(alpha, link) for link in links], label=case
+    )
+    return net, scenario, alpha
+
+
+@pytest.mark.parametrize("case", ["cut-links", "many-faults", "many-links", "inconsistent", "tie"])
+@given(seed=st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_split_search_cascades_match_round_oracle(case, seed):
+    rng = random.Random(seed)
+    net, scenario, alpha = split_case(case, rng)
+    with patch.object(Graph, "split", autospec=True, side_effect=Graph.split) as spy:
+        result = run_cascade(net, scenario)
+    expected = oracles.oracle_cascade_rounds(net, scenario)
+    assert result == expected
+    assert emit_report(result, "machine") == emit_report(expected, "machine")
+    # Whenever the injection is more than one failed node, the split search
+    # answered the injected layer. Layers can have equal graphs, so by identity.
+    if scenario.failed_links or len(scenario.failed_nodes) > 1:
+        target = net.layer(alpha).graph
+        assert any(c.args[0] is target for c in spy.call_args_list)
+
+
+def test_cascades_leave_the_baseline_labels_untouched():
+    gen = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "gen.py"))
+    for net in (parse_model(gen["fragile"](23).document()).network, desk_model()):
+        exhaustive_single_faults(net)
+        for l in net.layers:
+            fresh = l.graph.components()
+            assert l.graph.labels == fresh
+            assert dict(l.graph.sizes) == dict(Counter(fresh))
+
+
 def test_labels_are_not_recomputed_for_states_that_cannot_have_changed():
     # Each layer's baseline labels are read first, so the spy on
-    # `Graph.components` counts only relabels of changed layers.
+    # `Graph.components` counts only whole-layer relabels in a cascade.
     desk = desk_model()
     for l in desk.layers:
         l.graph.labels
@@ -442,7 +510,7 @@ def test_labels_are_not_recomputed_for_states_that_cannot_have_changed():
         l.graph.labels
     with patch.object(Graph, "components", autospec=True, side_effect=Graph.components) as spy:
         exhaustive_single_faults(campaign)
-    assert spy.call_count <= 646
+    assert spy.call_count == 0
 
 
 def test_validate_builds_no_dfs_table_and_a_cascade_does(dual_homed_network):

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -273,21 +274,62 @@ def test_component_labels_partition_in_first_seen_order(seed):
     assert list(labels) == nodes
     check(labels, nodes, links)
 
-    # The masked form, on the same graph with its nodes numbered as listed.
+    # The same graph with its nodes numbered as listed.
     index = {n: i for i, n in enumerate(nodes)}
     graph = Graph.of(len(nodes), [(index[a], index[b]) for a, b in links])
     assert graph.components() == graph.labels == list(labels.values())
-    failed = bytearray(rng.random() < 0.3 for _ in nodes)
-    inactive = bytearray(rng.random() < 0.3 for _ in links)
-    masked = graph.components(failed, inactive)
-    assert [lab < 0 for lab in masked] == list(map(bool, failed))
-    survivors = [n for n in nodes if not failed[index[n]]]
-    active = [
-        (a, b)
-        for (a, b), off in zip(links, inactive)
-        if not (off or failed[index[a]] or failed[index[b]])
-    ]
-    check({n: masked[index[n]] for n in survivors}, survivors, active)
+    assert graph.sizes == Counter(graph.labels)
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_split_search_matches_oracle(seed):
+    """Batches of node failures and link removals applied in turn: after each,
+    `Graph.split` leaves labels that partition the survivors as the oracle
+    does over the active links, sizes that count them, and every relabelled
+    node in the moved set."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 30)
+    links = sorted(
+        {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 2 * n))}
+        if n > 1
+        else ()
+    )
+    graph = Graph.of(n, links)
+    labels, sizes = list(graph.labels), dict(graph.sizes)
+    failed, inactive = bytearray(n), bytearray(len(links))
+    gone, cut = set(), set()
+    while len(gone) < n:
+        alive = [v for v in range(n) if v not in gone]
+        active = [j for j in range(len(links)) if j not in cut]
+        nodes = set(rng.sample(alive, rng.randint(0, min(3, len(alive)))))
+        batch = set(rng.sample(active, rng.randint(0, min(4, len(active)))))
+        if not (nodes or batch):
+            nodes = {rng.choice(alive)}
+        gone |= nodes
+        cut |= batch
+        before = list(labels)
+        moved = graph.split(labels, sizes, failed, inactive, nodes, batch)
+
+        assert {v for v in range(n) if failed[v]} == gone
+        assert {j for j in range(len(links)) if inactive[j]} == cut
+        assert {v for v in range(n) if labels[v] < 0} == gone
+        survivors = [v for v in range(n) if v not in gone]
+        live = [
+            (a, b)
+            for j, (a, b) in enumerate(links)
+            if j not in cut and a not in gone and b not in gone
+        ]
+        groups = {}
+        for v in survivors:
+            groups.setdefault(labels[v], set()).add(v)
+        assert sorted(map(sorted, groups.values())) == sorted(
+            map(sorted, oracles.bf_components(survivors, live))
+        )
+        assert {lab: c for lab, c in sizes.items() if c} == Counter(labels[v] for v in survivors)
+        assert sorted(sizes) == list(range(len(sizes)))
+        assert len(set(moved)) == len(moved) and set(moved[: len(nodes)]) == nodes
+        assert {v for v in range(n) if labels[v] != before[v]} <= set(moved)
 
 
 def _scrambled(items, how, rng):
