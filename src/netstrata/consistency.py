@@ -53,6 +53,7 @@ class InterlayerClass:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    kind = "validation"  # the kind `model_io.report_payload` gives it; not a field
     mode: Mode
     violations: tuple[Violation, ...]
     warnings: tuple[str, ...]
@@ -145,9 +146,11 @@ def classify_interlayer(network: MultilayerNetwork, upper_index: int) -> Interla
     return InterlayerClass(upper_index, classes)
 
 
-def validate(network: MultilayerNetwork) -> ValidationReport:
+def validate(network: MultilayerNetwork, classify: bool = True) -> ValidationReport:
     """Bundle node-support, cardinality, path-consistency and multiplex-cover
-    checks plus per-cross-layer classification into one report."""
+    checks plus per-cross-layer classification into one report. With
+    `classify` false, the report has no interlayer classes: the human format
+    prints none, so the CLI classifies for the machine format only."""
     violations: list[Violation] = []
     warnings: list[str] = list(network.warnings)
 
@@ -173,6 +176,7 @@ def validate(network: MultilayerNetwork) -> ValidationReport:
     classes = tuple(
         classify_interlayer(network, cross.upper_index)
         for cross in network.cross_layers
+        if classify
     )
     return ValidationReport(
         mode=network.mode,

@@ -50,6 +50,7 @@ class CascadeRound:
 
 @dataclass(frozen=True)
 class CascadeResult:
+    kind = "cascade"  # the kind `model_io.report_payload` gives it; not a field
     scenario: FaultScenario
     rounds: tuple[CascadeRound, ...]
     final_failed_nodes: frozenset[ComponentId]

@@ -13,11 +13,8 @@ import gc
 import json
 import re
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
-from . import multiplex
-from .consistency import ValidationReport
-from .faults import CascadeResult, FaultScenario
 from .model import (
     Component,
     ComponentId,
@@ -33,7 +30,11 @@ from .model import (
     build_network,
     canonical_link,
 )
-from .reference import ConformanceReport
+
+# `faults` and `multiplex` are imported where they are used, and no report
+# module at all, so each CLI command loads only the modules it runs.
+if TYPE_CHECKING:
+    from .faults import FaultScenario
 
 FORMAT_VERSION = "1"
 REPORT_VERSION = "2"
@@ -255,6 +256,7 @@ def _parse_scenario(obj: Any, layers: tuple[Layer, ...], path: str) -> FaultScen
                 f"no link ({a!r}, {b!r}) on layer {layer}", f"{lpath}.link"
             )
         links.append((layer, (a, b)))
+    from .faults import FaultScenario
     return FaultScenario.of(nodes, links, label)
 
 
@@ -401,6 +403,7 @@ def export_dot(network: MultilayerNetwork, view: str = "flatten") -> str:
     protocol sub-layer)."""
     if view not in ("flatten", "layers", "sublayers"):
         raise ValueError(f"unknown view {view!r}")
+    from . import multiplex
     lines = ["graph multilayer {"]
 
     def cluster(
@@ -441,9 +444,17 @@ def export_dot(network: MultilayerNetwork, view: str = "flatten") -> str:
 
 def report_payload(report: Any) -> dict[str, Any]:
     """Machine-format dictionary for any report type. This is the only code
-    that reads a report object; the human format is rendered from its result."""
-    if isinstance(report, ValidationReport):
-        kind, body = "validation", {
+    that reads a report object; the human format is rendered from its result.
+    A report type names its kind in a `kind` class attribute, so telling the
+    types apart imports none of the modules that define them."""
+    if isinstance(report, dict):
+        kind = "metrics"  # layer index -> LayerMetrics
+    elif isinstance(report, list):
+        kind = "campaign"  # ranked list[ImpactEntry]
+    else:
+        kind = getattr(type(report), "kind", None)
+    if kind == "validation":
+        body = {
             "passed": report.passed,
             "mode": report.mode.value,
             "violations": [
@@ -464,16 +475,16 @@ def report_payload(report: Any) -> dict[str, Any]:
                 for ic in report.interlayer_classes
             ],
         }
-    elif isinstance(report, ConformanceReport):
-        kind, body = "conformance", {
+    elif kind == "conformance":
+        body = {
             "model_kind": report.model_kind,
             "conforms": report.conforms,
             "missing_roles": [r.value for r in report.missing_roles],
             "order_violations": report.order_violations,
             "extras": report.extras,
         }
-    elif isinstance(report, CascadeResult):
-        kind, body = "cascade", {
+    elif kind == "cascade":
+        body = {
             "scenario": report.scenario.label,
             "rounds": [
                 {
@@ -493,12 +504,12 @@ def report_payload(report: Any) -> dict[str, Any]:
             },
             "functional_alive": report.functional_alive,
         }
-    elif isinstance(report, dict):  # metrics bundle: layer index -> LayerMetrics
-        kind, body = "metrics", {
+    elif kind == "metrics":
+        body = {
             "layers": {str(idx): asdict(m) for idx, m in sorted(report.items())}
         }
-    elif isinstance(report, list):  # campaign: ranked list[ImpactEntry]
-        kind, body = "campaign", {
+    elif kind == "campaign":
+        body = {
             "entries": [
                 {
                     "node": str(e.node),

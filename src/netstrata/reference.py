@@ -39,6 +39,7 @@ ALLOWED_KINDS: dict[LayerRole, frozenset[ComponentKind]] = {
 
 @dataclass(frozen=True)
 class ConformanceReport:
+    kind = "conformance"  # the kind `model_io.report_payload` gives it; not a field
     model_kind: str
     missing_roles: tuple[LayerRole, ...]
     order_violations: tuple[str, ...]

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -394,7 +395,7 @@ def test_help_goes_to_stdout(args, usage):
 
 def test_interrupt_propagates_out_of_main(monkeypatch):
     # Not caught, so the process ends with SIGINT's status, not exit 1.
-    def interrupted(network):
+    def interrupted(network, classify=True):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(consistency, "validate", interrupted)
@@ -482,6 +483,132 @@ def test_cli_import_leaves_out_numeric_packages():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+# Imports the CLI, runs `main` on the arguments, if any, with its output
+# dropped, and prints the `netstrata` modules loaded after each step.
+_MODULES_CHILD = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "netstrata")
+
+import netstrata.cli
+imported = loaded()
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
+        try:
+            netstrata.cli.main(sys.argv[1:])
+        except SystemExit:
+            pass
+print(json.dumps([imported, loaded()]))
+"""
+_CLI_MODULES = ["netstrata", "netstrata.cli", "netstrata.graphutil", "netstrata.model",
+                "netstrata.model_io"]
+
+
+@pytest.mark.parametrize(
+    "args, added",
+    [
+        ([], []),
+        (["validate", fx("basic_stack.mln.json")], ["consistency", "multiplex"]),
+        (["metrics", fx("basic_stack.mln.json")], ["analysis"]),
+        (["simulate", fx("basic_stack.mln.json"), "--exhaustive"], ["faults"]),
+        (["decompose", fx("basic_stack.mln.json"), "--layer", "1"], ["multiplex"]),
+        (["export", fx("basic_stack.mln.json")], ["multiplex"]),
+        # A document with scenarios builds them with `faults`.
+        (["metrics", fx("dual_homed.mln.json")], ["analysis", "faults"]),
+    ],
+    ids=["import", "validate", "metrics", "simulate", "decompose", "export", "scenarios"],
+)
+def test_each_command_imports_only_what_it_runs(args, added):
+    src = str(Path(netstrata.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _MODULES_CHILD, *args],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    imported, after = json.loads(out.stdout)
+    assert imported == _CLI_MODULES
+    assert after == sorted(_CLI_MODULES + [f"netstrata.{m}" for m in added])
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in FIXTURES.glob("*.mln.json")))
+def test_process_entry_matches_main_in_process(name):
+    # `python -m netstrata.cli` runs `run`: GC off and an exit that skips the
+    # interpreter's teardown. Output and exit code are still `main`'s.
+    commands = [["decompose", "--layer", "1"], ["export"]] + [
+        [*command, "--format", fmt]
+        for command in (["validate"], ["metrics"], ["simulate", "--exhaustive"])
+        for fmt in ("human", "machine")
+    ]
+    for command in commands:
+        args = [command[0], fx(name), *command[1:]]
+        expected = run_cli(args)
+        out = _run_cli_into(args, subprocess.PIPE)
+        assert (out.returncode, out.stdout, out.stderr) == tuple(expected), args
+
+
+@pytest.mark.parametrize("code", ["None", "0", "1", "2", "'no model'", "['a', 1]"])
+def test_process_entry_exits_as_python_would(code):
+    # `run` maps `main`'s `SystemExit` to the status and stderr text that
+    # Python's own exit gives the same code, after flushing what was written
+    # (block-buffered, as in `_run_cli_into`).
+    src = str(Path(netstrata.__file__).parents[1])
+    inherited = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    child = (
+        "import sys\n"
+        "from netstrata import cli\n"
+        "def main():\n"
+        "    print('written', end='')\n"
+        f"    sys.exit({code})\n"
+    )
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", child + tail],
+            env={**inherited, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        for tail in ("cli.main = main\ncli.run()\n", "main()\n")
+    ]
+    assert [(r.returncode, r.stdout, r.stderr) for r in runs] == [
+        (runs[1].returncode, "written", runs[1].stderr)
+    ] * 2
+
+
+def test_module_entry_exits_without_teardown():
+    # `python -m netstrata.cli` runs `run`, so the atexit hooks that the
+    # interpreter's teardown would run do not.
+    args = ["validate", fx("basic_stack.mln.json")]
+    child = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(print, 'teardown')\n"
+        f"sys.argv = ['netstrata', *{args!r}]\n"
+        "runpy.run_module('netstrata.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    src = str(Path(netstrata.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", child],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert (out.returncode, out.stdout, out.stderr) == tuple(run_cli(args))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_gc_switch_as_it_found_it(enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for args in (["validate", fx("dual_homed.mln.json")], ["validate", fx("malformed.mln.json")]):
+            run_cli(args)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 # Runs `metrics` in both formats on every document named after the first
