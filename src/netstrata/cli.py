@@ -47,8 +47,11 @@ def _usage_error(message: str) -> NoReturn:
 
 def _write(text: str, output: str | None = None) -> None:
     """Write `text` as UTF-8 to the file `output`, or to stdout. A failed write
-    is exit 2, not a result, so it never reads as "violations found"."""
+    is exit 2, not a result, so it never reads as "violations found"; so is a
+    closed stdout, which Python leaves as `None`."""
     data = text.encode("utf-8")
+    if output is None and sys.stdout is None:
+        _usage_error("stdout is closed")
     try:
         if output is None:
             sys.stdout.buffer.write(data)

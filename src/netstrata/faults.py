@@ -78,20 +78,20 @@ def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeR
     to the dependents of the nodes whose component label changed in the layer
     below. The injection is the change before round 1, which also inactivates
     the links unsupported with nothing failed, since removing elements never
-    connects anything. A layer's labels and component sizes are copied from
-    its baseline on its first change and then split by `Graph.split` after
-    each change; a first change of exactly one failed node is read from the
-    DFS table instead (`Graph.without`).
+    connects anything. A node has failed when its label is -1. A layer reads
+    its baseline labels and component sizes until its first change, copies
+    them once then, and splits the copy by `Graph.split` after each change; a
+    first change of exactly one failed node is read from the DFS table
+    instead (`Graph.without`).
     """
     substrate, layers = network.substrate, network.layers
     graphs = [layer.graph for layer in layers]
     depth = len(layers)
-    failed = [bytearray(len(layer.components)) for layer in layers]
     inactive = [bytearray(len(layer.links)) for layer in layers]
-    # Per layer, from its first change on: component label per node (-1 once
-    # failed) and node count per label.
-    labels: list[list[int] | None] = [None] * depth
-    sizes: list[dict[int, int] | None] = [None] * depth
+    # Per layer: component label per node (-1 once failed) and node count per
+    # label; the baseline's until the layer's first change, a copy from then on.
+    labels = [graph.labels for graph in graphs]
+    sizes = [graph.sizes for graph in graphs]
     new_nodes: list[set[int]] = [set() for _ in layers]
     new_links: list[set[int]] = [set() for _ in layers]
     for node in sorted(scenario.failed_nodes):
@@ -117,22 +117,20 @@ def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeR
             if not (nodes or links):
                 continue
             graph = graphs[k]
-            if labels[k] is None:
-                if len(nodes) == 1 and not links:
-                    (v,) = nodes
-                    failed[k][v] = 1
-                    labels[k], sizes[k], moved[k] = graph.without(v)
-                    continue
+            if labels[k] is graph.labels:
                 labels[k], sizes[k] = list(graph.labels), dict(graph.sizes)
-            moved[k] = graph.split(labels[k], sizes[k], failed[k], inactive[k], nodes, links)
+                if len(nodes) == 1 and not links:
+                    moved[k] = graph.without(labels[k], sizes[k], *nodes)
+                    continue
+            moved[k] = graph.split(labels[k], sizes[k], inactive[k], nodes, links)
 
         round_nodes: list[set[int]] = [set() for _ in layers]
         for k in range(1, depth):
-            up_failed, low_failed = failed[k], failed[k - 1]
+            up, low = labels[k], labels[k - 1]
             supporters = substrate[k].supporters
             for i in new_nodes[k - 1]:
                 for d in substrate[k - 1].dependents[i]:
-                    if not up_failed[d] and all(low_failed[s] for s in supporters[d]):
+                    if up[d] >= 0 and all(low[s] < 0 for s in supporters[d]):
                         round_nodes[k].add(d)
 
         round_links: list[set[int]] = []
@@ -166,11 +164,10 @@ def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeR
     survival: dict[int, float] = {}
     largest_fraction: dict[int, float] = {}
     functional_alive = not any(l.role is LayerRole.FUNCTIONAL for l in layers)
-    for k, (layer, graph) in enumerate(zip(layers, graphs)):
-        total = len(layer.components)
-        survivors = total - failed[k].count(1)
-        largest = max((graph.sizes if sizes[k] is None else sizes[k]).values())
-        survival[layer.index] = survivors / total
+    for layer, counts in zip(layers, sizes):
+        survivors = sum(counts.values())
+        largest = max(counts.values())
+        survival[layer.index] = survivors / len(layer.components)
         largest_fraction[layer.index] = largest / survivors if survivors else 0.0
         if layer.role is LayerRole.FUNCTIONAL and survivors:
             functional_alive = True

@@ -73,12 +73,12 @@ class Graph:
             fresh += 1
         return labels
 
-    def without(self, v: int) -> tuple[list[int], dict[int, int], list[int]]:
-        """Labels and sizes with `v` the only failed node, read from the
-        baseline and the DFS table; and the nodes whose label that changes, `v`
+    def without(self, labels: list[int], sizes: dict[int, int], v: int) -> list[int]:
+        """Fail `v` in `labels` and `sizes`, copies of the baseline's, reading
+        the split from the DFS table. Returns the nodes whose label changed, `v`
         first. Each split-off subtree takes a fresh label, numbered on from the
         baseline's; the rest of `v`'s component keeps its label."""
-        dfs, labels, sizes, moved = self.dfs, list(self.labels), dict(self.sizes), [v]
+        dfs, moved = self.dfs, [v]
         old, labels[v] = labels[v], -1
         sizes[old] -= 1
         for w in dfs.splits.get(v, ()):
@@ -89,22 +89,21 @@ class Graph:
             sizes[fresh] = len(piece)
             sizes[old] -= len(piece)
             moved.extend(piece)
-        return labels, sizes, moved
+        return moved
 
     def split(
         self,
         labels: list[int],
         sizes: dict[int, int],
-        failed: bytearray,
         inactive: bytearray,
         nodes: Iterable[int],
         links: Iterable[int],
     ) -> list[int]:
-        """Remove `nodes` and `links`, not yet marked in `failed` and
-        `inactive`: mark them, and update `labels` (the component per node over
-        the nodes and links left, -1 per failed node) and `sizes` (the node
-        count per label, keys `0..len(sizes)-1`). Returns the nodes whose label
-        changed, the removed nodes first.
+        """Remove `nodes`, not yet labelled -1, and `links`, not yet marked in
+        `inactive`: mark the links, and update `labels` (the component per node
+        over the nodes and links left, -1 per failed node) and `sizes` (the
+        node count per label, keys `0..len(sizes)-1`). Returns the nodes whose
+        label changed, the removed nodes first.
 
         Removal only splits components, so this walks mainly the smaller
         sides (Even & Shiloach, JACM 1981). The live ends of the removed
@@ -118,7 +117,7 @@ class Graph:
         ends = []  # ends of the active links that go; removed nodes are dropped below
         for j in links:
             a, b = edges[j]
-            if not (failed[a] or failed[b]):
+            if labels[a] >= 0 and labels[b] >= 0:
                 ends += (a, b)
             inactive[j] = 1
         for v in moved:
@@ -126,15 +125,14 @@ class Graph:
                 if not inactive[j]:
                     a, b = edges[j]
                     w = b if a == v else a
-                    if not failed[w]:
+                    if labels[w] >= 0:
                         ends.append(w)
         for v in moved:
-            failed[v] = 1
             sizes[labels[v]] -= 1
             labels[v] = -1
         groups: dict[int, dict[int, None]] = {}
         for w in ends:
-            if not failed[w]:
+            if labels[w] >= 0:
                 groups.setdefault(labels[w], {})[w] = None
         for old, seeds in groups.items():
             if len(seeds) < 2:
@@ -154,7 +152,7 @@ class Graph:
                             continue
                         a, b = edges[j]
                         w = b if a == v else a
-                        if failed[w]:
+                        if labels[w] < 0:
                             continue
                         o = owner.get(w)
                         if o is None:

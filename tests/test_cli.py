@@ -365,6 +365,55 @@ def test_full_device_on_stdout_exits_2():
     _assert_one_error_line(out)
 
 
+def _run_with_stdout_closed(argv):
+    """Run `python ARGV` in a child process whose stdout is closed, as a
+    shell's `>&-` leaves it; Python then sets `sys.stdout` to None."""
+    src = str(Path(netstrata.__file__).parents[1])
+    return subprocess.run(
+        ["/bin/sh", "-c", 'exec "$@" >&-', "sh", sys.executable, *argv],
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+        text=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(
+            ["-m", "netstrata.cli", command[0], fx(f"{name}.mln.json"), *command[1:]],
+            id=f"{command[0]}-{name}",
+        )
+        for name in ("basic_stack", "inconsistent", "malformed")
+        for command in (
+            ["validate"],
+            ["decompose", "--layer", "1"],
+            ["metrics"],
+            ["simulate", "--exhaustive"],
+            ["export"],
+        )
+    ]
+    + [
+        pytest.param(["-m", "netstrata.cli", "--help"], id="help"),
+        pytest.param(["-m", "netstrata.cli", "--version"], id="version"),
+        pytest.param(
+            [str(Path(__file__).parents[1] / "scripts" / "generate_model.py")], id="generate_model"
+        ),
+    ],
+)
+def test_closed_stdout_exits_2(argv):
+    # Whatever the command would have found, its output cannot be written.
+    _assert_one_error_line(_run_with_stdout_closed(argv))
+
+
+def test_export_to_a_file_with_stdout_closed_exits_0(tmp_path):
+    args, dot = ["export", fx("basic_stack.mln.json")], tmp_path / "out.dot"
+    out = _run_with_stdout_closed(["-m", "netstrata.cli", *args, "-o", str(dot)])
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
+    assert dot.read_text(encoding="utf-8") == run_cli(args).output
+
+
 def test_scenario_errors_do_not_depend_on_the_hash_seed():
     # Both nodes are unknown; the first in sorted order is the one reported.
     args = ["simulate", fx("ap.mln.json"), "--fail", "p1,2/s"]

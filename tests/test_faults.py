@@ -37,13 +37,15 @@ def test_dual_homed_service_survives_one_host(dual_homed_network):
 
 
 def test_dual_homed_service_dies_with_both_hosts(dual_homed_network):
-    result = run_cascade(
-        dual_homed_network, FaultScenario.of([cid(1, "p1"), cid(1, "p2")])
-    )
+    # Every node fails, so survivors and the largest component read 0 everywhere.
+    scenario = FaultScenario.of([cid(1, "p1"), cid(1, "p2")])
+    result = run_cascade(dual_homed_network, scenario)
     assert cid(2, "s") in result.final_failed_nodes
     assert result.rounds[0].failed_nodes == frozenset({cid(2, "s")})
-    assert result.per_layer_survival[2] == 0.0
+    assert result.per_layer_survival == {1: 0.0, 2: 0.0}
+    assert result.per_layer_largest_component_fraction == {1: 0.0, 2: 0.0}
     assert not result.functional_alive
+    assert result == oracles.oracle_cascade_rounds(dual_homed_network, scenario)
 
 
 def multi_round_network():
@@ -420,7 +422,7 @@ def test_one_node_shortcut_matches_round_oracle(case, seed):
     v = target.node_ids[node.local_name]
     # The DFS table answered the injected layer, or the split search did when
     # a link was injected there too. Layers can have equal graphs, so by identity.
-    ran = any(c.args[0] is target.graph and c.args[1] == v for c in spy.call_args_list)
+    ran = any(c.args[0] is target.graph and c.args[3] == v for c in spy.call_args_list)
     assert ran == (case != "injected-link")
 
 
@@ -482,14 +484,41 @@ def test_split_search_cascades_match_round_oracle(case, seed):
         assert any(c.args[0] is target for c in spy.call_args_list)
 
 
+def _assert_baselines_are_fresh(net):
+    """Every layer's cached baseline labels and sizes equal a fresh search."""
+    for l in net.layers:
+        fresh = l.graph.components()
+        assert l.graph.labels == fresh
+        assert dict(l.graph.sizes) == dict(Counter(fresh))
+
+
 def test_cascades_leave_the_baseline_labels_untouched():
     gen = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "gen.py"))
     for net in (parse_model(gen["fragile"](23).document()).network, desk_model()):
         exhaustive_single_faults(net)
-        for l in net.layers:
-            fresh = l.graph.components()
-            assert l.graph.labels == fresh
-            assert dict(l.graph.sizes) == dict(Counter(fresh))
+        _assert_baselines_are_fresh(net)
+
+
+@given(seed=st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_random_cascades_leave_the_baseline_labels_untouched(seed):
+    # The injected layer's first change is one node (`Graph.without`), or
+    # several nodes, links or both (`Graph.split`); the cascades run in turn
+    # on one network, so a baseline one of them wrote shows in the next.
+    rng = random.Random(seed)
+    net = random_network(rng, max_nodes=16, consistent=False)
+    for shape in ("one-node", "nodes", "links", "both"):
+        target = rng.choice(net.layers)
+        names = [c.name for c in target.components]
+        nodes = rng.sample(names, 1 if shape == "one-node" else min(len(names), rng.randint(2, 3)))
+        links = rng.sample(target.links, min(len(target.links), rng.randint(1, 3)))
+        scenario = FaultScenario.of(
+            [cid(target.index, x) for x in nodes if shape != "links"],
+            [(target.index, link) for link in links if shape in ("links", "both")],
+            label=shape,
+        )
+        run_cascade(net, scenario)
+        _assert_baselines_are_fresh(net)
 
 
 def test_labels_are_not_recomputed_for_states_that_cannot_have_changed():

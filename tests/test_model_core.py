@@ -297,7 +297,7 @@ def test_split_search_matches_oracle(seed):
     )
     graph = Graph.of(n, links)
     labels, sizes = list(graph.labels), dict(graph.sizes)
-    failed, inactive = bytearray(n), bytearray(len(links))
+    inactive = bytearray(len(links))
     gone, cut = set(), set()
     while len(gone) < n:
         alive = [v for v in range(n) if v not in gone]
@@ -309,9 +309,8 @@ def test_split_search_matches_oracle(seed):
         gone |= nodes
         cut |= batch
         before = list(labels)
-        moved = graph.split(labels, sizes, failed, inactive, nodes, batch)
+        moved = graph.split(labels, sizes, inactive, nodes, batch)
 
-        assert {v for v in range(n) if failed[v]} == gone
         assert {j for j in range(len(links)) if inactive[j]} == cut
         assert {v for v in range(n) if labels[v] < 0} == gone
         survivors = [v for v in range(n) if v not in gone]
