@@ -4,8 +4,7 @@ failure (articulation points and bridges)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graphutil import cut_points
 from .model import Layer, Link
@@ -18,8 +17,7 @@ _DIAMETER_CHUNK = 256
 _PYTHON_BFS_VISITS = 1_000_000
 
 
-@dataclass(frozen=True)
-class LayerMetrics:
+class LayerMetrics(NamedTuple):
     node_count: int
     link_count: int
     density: float

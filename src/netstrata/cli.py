@@ -37,9 +37,11 @@ def _silence(stream: TextIO) -> None:
 
 
 def _usage_error(message: str) -> NoReturn:
-    """Print one `error:` line, if stderr can still be written, and exit 2."""
+    """Print one `error:` line, if stderr can still be written, and exit 2. A
+    closed stderr is None, and `print` would write to stdout in its place."""
     try:
-        print(f"error: {message}", file=sys.stderr, flush=True)
+        if sys.stderr is not None:
+            print(f"error: {message}", file=sys.stderr, flush=True)
     except OSError:
         _silence(sys.stderr)
     sys.exit(2)

@@ -9,9 +9,8 @@ each projection pattern represents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import multiplex
 from .model import ComponentId, Link, Mode, MultilayerNetwork
@@ -25,8 +24,7 @@ class ViolationKind(str, Enum):
     ROLE_KIND_MISMATCH = "role-kind-mismatch"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: ViolationKind
     layer_index: int
     subject: ComponentId | Link | None
@@ -43,16 +41,14 @@ class NodeClass(str, Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class InterlayerClass:
+class InterlayerClass(NamedTuple):
     """Per-node technology classification for one cross-layer."""
 
     upper_index: int
     classes: Mapping[ComponentId, NodeClass]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     kind = "validation"  # the kind `model_io.report_payload` gives it; not a field
     mode: Mode
     violations: tuple[Violation, ...]

@@ -8,8 +8,7 @@ connected in the layer below. Propagation iterates to a fixed point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .model import (
     ComponentId,
@@ -23,8 +22,7 @@ from .model import (
 LinkRef = tuple[int, Link]  # (layer index, canonical name pair)
 
 
-@dataclass(frozen=True)
-class FaultScenario:
+class FaultScenario(NamedTuple):
     failed_nodes: frozenset[ComponentId] = frozenset()
     failed_links: frozenset[LinkRef] = frozenset()
     label: str = ""
@@ -42,14 +40,12 @@ class FaultScenario:
         )
 
 
-@dataclass(frozen=True)
-class CascadeRound:
+class CascadeRound(NamedTuple):
     failed_nodes: frozenset[ComponentId]
     inactive_links: frozenset[LinkRef]
 
 
-@dataclass(frozen=True)
-class CascadeResult:
+class CascadeResult(NamedTuple):
     kind = "cascade"  # the kind `model_io.report_payload` gives it; not a field
     scenario: FaultScenario
     rounds: tuple[CascadeRound, ...]
@@ -187,8 +183,7 @@ def run_cascade(network: MultilayerNetwork, scenario: FaultScenario) -> CascadeR
     )
 
 
-@dataclass(frozen=True)
-class ImpactEntry:
+class ImpactEntry(NamedTuple):
     node: ComponentId
     result: CascadeResult
 

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 def component_labels(
@@ -21,8 +20,7 @@ def component_labels(
     return dict(zip(index, graph.labels))
 
 
-@dataclass(frozen=True)
-class Dfs:
+class Dfs(NamedTuple):
     """One iterative lowlink DFS (Hopcroft & Tarjan, CACM 1973) of a `Graph`,
     kept in arrays as long as the graph. Removing node `v` splits off, as one
     component each, the subtrees `order[disc[w]:end[w]]` of `splits[v]`."""
@@ -35,12 +33,14 @@ class Dfs:
     splits: dict[int, list[int]]  # children `w` with `low[w] >= disc[v]`: all, at a root
 
 
-@dataclass(frozen=True)
-class Graph:
-    """An undirected simple graph on nodes `0..n-1`, compiled once."""
-
+class _GraphFields(NamedTuple):
     links: tuple[tuple[int, int], ...]
     incident: Sequence[Sequence[int]]  # link ids per node
+
+
+class Graph(_GraphFields):
+    """An undirected simple graph on nodes `0..n-1`, compiled once. A subclass
+    of its fields' named tuple, for the `__dict__` its caches are kept in."""
 
     @staticmethod
     def of(n: int, links: Iterable[tuple[int, int]]) -> "Graph":

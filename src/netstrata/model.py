@@ -2,16 +2,18 @@
 
 A network is an ordered stack of layers (bottom = physical reality, higher =
 virtual strata) plus one bipartite cross-layer between each adjacent pair.
-All types are frozen dataclasses; `build_network` canonicalizes its inputs so
-structurally equal networks compare equal with `==`.
+Every record is a named tuple, so it hashes and compares as the tuple of its
+fields. A type with a `cached_property` subclasses a named tuple of its
+fields, as the subclass has the `__dict__` that the cache is kept in.
+`build_network` canonicalizes its inputs so structurally equal networks
+compare equal with `==`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .graphutil import Graph
 
@@ -50,8 +52,7 @@ class LayerRole(str, Enum):
     CUSTOM = "custom"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class ComponentId:
+class ComponentId(NamedTuple):
     """Identity of a component: (layer index, name unique within the layer)."""
 
     layer_index: int
@@ -61,8 +62,7 @@ class ComponentId:
         return f"{self.layer_index}/{self.local_name}"
 
 
-@dataclass(frozen=True)
-class SpecSet:
+class SpecSet(NamedTuple):
     """Component specification label: supported protocols plus free-form
     key/value attributes, both kept sorted for canonical equality."""
 
@@ -81,8 +81,7 @@ class SpecSet:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Component:
+class Component(NamedTuple):
     name: str
     kind: ComponentKind
     spec: SpecSet
@@ -100,15 +99,16 @@ def canonical_link(a: str, b: str) -> Link:
     return (a, b) if a <= b else (b, a)
 
 
-@dataclass(frozen=True)
-class Layer:
-    """One stratum: components, intralayer links, and its protocol set."""
-
+class _LayerFields(NamedTuple):
     index: int
     role: LayerRole
     components: tuple[Component, ...]
     links: tuple[Link, ...]
     protocols: tuple[str, ...]
+
+
+class Layer(_LayerFields):
+    """One stratum: components, intralayer links, and its protocol set."""
 
     @staticmethod
     def of(
@@ -165,8 +165,7 @@ class Layer:
 Projection = tuple[str, str]  # (upper component name, lower component name)
 
 
-@dataclass(frozen=True)
-class CrossLayer:
+class CrossLayer(NamedTuple):
     """Bipartite projection graph from layer `upper_index` down to the layer
     directly below it."""
 
@@ -178,8 +177,7 @@ class CrossLayer:
         return CrossLayer(upper_index, tuple(sorted(dict.fromkeys(projections))))
 
 
-@dataclass(frozen=True)
-class FlatEdge:
+class FlatEdge(NamedTuple):
     """Edge of the flattened network, tagged with its origin."""
 
     source: ComponentId
@@ -187,14 +185,12 @@ class FlatEdge:
     interlayer: bool
 
 
-@dataclass(frozen=True)
-class FlatGraph:
+class FlatGraph(NamedTuple):
     vertices: frozenset[ComponentId]
     edges: frozenset[FlatEdge]
 
 
-@dataclass(frozen=True)
-class LayerSubstrate:
+class LayerSubstrate(NamedTuple):
     """What joins one layer to its neighbours, on the node ids of
     `Layer.graph`. Built once and never mutated."""
 
@@ -203,14 +199,15 @@ class LayerSubstrate:
     unsupported: Sequence[int]  # links with no supporter pair connected below
 
 
-@dataclass(frozen=True)
-class MultilayerNetwork:
-    """Validated, immutable multilayer model. Build via `build_network`."""
-
+class _NetworkFields(NamedTuple):
     layers: tuple[Layer, ...]
     cross_layers: tuple[CrossLayer, ...]
     mode: Mode
     warnings: tuple[str, ...] = ()
+
+
+class MultilayerNetwork(_NetworkFields):
+    """Validated, immutable multilayer model. Build via `build_network`."""
 
     @property
     def depth(self) -> int:

@@ -12,8 +12,7 @@ from __future__ import annotations
 import gc
 import json
 import re
-from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple
 
 from .model import (
     Component,
@@ -51,8 +50,7 @@ class ModelParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class ModelDocument:
+class ModelDocument(NamedTuple):
     format_version: str
     network: MultilayerNetwork
     scenarios: tuple[FaultScenario, ...] = ()
@@ -182,7 +180,7 @@ def _parse_component(obj: Any, specs: dict[Any, SpecSet]) -> Component:
         if type(v) is not str:
             _expect(v, str, f".attributes.{k}", "a string")
     # Strings, then pairs: unambiguous, and unlike `(protocols, attributes)`
-    # it does not hash like the `SpecSet` stored beside it.
+    # never equal to a `SpecSet`, a tuple of two tuples, stored beside it.
     key = (*protocols, *attributes.items())
     spec = specs.get(key)
     if spec is None:
@@ -506,7 +504,7 @@ def report_payload(report: Any) -> dict[str, Any]:
         }
     elif kind == "metrics":
         body = {
-            "layers": {str(idx): asdict(m) for idx, m in sorted(report.items())}
+            "layers": {str(idx): m._asdict() for idx, m in sorted(report.items())}
         }
     elif kind == "campaign":
         body = {

@@ -7,13 +7,12 @@ reads one table, `Layer.link_protocols`, built once per layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import Layer, Link
 
 
-@dataclass(frozen=True)
-class ProtocolSubLayer:
+class ProtocolSubLayer(NamedTuple):
     layer_index: int
     protocol: str
     links: tuple[Link, ...]

@@ -8,7 +8,7 @@ layer may contain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .consistency import Violation, ViolationKind
 from .model import ComponentId, ComponentKind, LayerRole, Mode, MultilayerNetwork
@@ -37,8 +37,7 @@ ALLOWED_KINDS: dict[LayerRole, frozenset[ComponentKind]] = {
 }
 
 
-@dataclass(frozen=True)
-class ConformanceReport:
+class ConformanceReport(NamedTuple):
     kind = "conformance"  # the kind `model_io.report_payload` gives it; not a field
     model_kind: str
     missing_roles: tuple[LayerRole, ...]

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from unittest.mock import patch
 
@@ -83,7 +82,7 @@ def test_metrics_match_brute_force(seed, n_max):
     cases = [(layer_metrics(l), list(l.links))]
     # sub-layers keep every node, so they bring isolated nodes and many components
     cases += [
-        (layer_metrics(dataclasses.replace(l, links=sub.links)), list(sub.links))
+        (layer_metrics(l._replace(links=sub.links)), list(sub.links))
         for sub in decompose_layer(l)
     ]
     for m, links in cases:

@@ -365,37 +365,38 @@ def test_full_device_on_stdout_exits_2():
     _assert_one_error_line(out)
 
 
-def _run_with_stdout_closed(argv):
-    """Run `python ARGV` in a child process whose stdout is closed, as a
-    shell's `>&-` leaves it; Python then sets `sys.stdout` to None."""
+def _run_with_closed(argv, fd=1):
+    """Run `python ARGV` in a child process whose file descriptor `fd` is
+    closed, as a shell's `>&-` leaves it; Python then sets that stream to None."""
     src = str(Path(netstrata.__file__).parents[1])
     return subprocess.run(
-        ["/bin/sh", "-c", 'exec "$@" >&-', "sh", sys.executable, *argv],
+        ["/bin/sh", "-c", f'exec "$@" {fd}>&-', "sh", sys.executable, *argv],
+        stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": src},
         text=True,
     )
 
 
+# Every command on a passing, a failing and a malformed document, plus help and
+# version: the runs that each stream state below is tried on.
+_STREAM_CASES = [
+    pytest.param([command[0], fx(f"{name}.mln.json"), *command[1:]], id=f"{command[0]}-{name}")
+    for name in ("basic_stack", "inconsistent", "malformed")
+    for command in (
+        ["validate"],
+        ["decompose", "--layer", "1"],
+        ["metrics"],
+        ["simulate", "--exhaustive"],
+        ["export"],
+    )
+] + [pytest.param(["--help"], id="help"), pytest.param(["--version"], id="version")]
+
+
 @pytest.mark.parametrize(
     "argv",
-    [
-        pytest.param(
-            ["-m", "netstrata.cli", command[0], fx(f"{name}.mln.json"), *command[1:]],
-            id=f"{command[0]}-{name}",
-        )
-        for name in ("basic_stack", "inconsistent", "malformed")
-        for command in (
-            ["validate"],
-            ["decompose", "--layer", "1"],
-            ["metrics"],
-            ["simulate", "--exhaustive"],
-            ["export"],
-        )
-    ]
+    [pytest.param(["-m", "netstrata.cli", *case.values[0]], id=case.id) for case in _STREAM_CASES]
     + [
-        pytest.param(["-m", "netstrata.cli", "--help"], id="help"),
-        pytest.param(["-m", "netstrata.cli", "--version"], id="version"),
         pytest.param(
             [str(Path(__file__).parents[1] / "scripts" / "generate_model.py")], id="generate_model"
         ),
@@ -403,12 +404,48 @@ def _run_with_stdout_closed(argv):
 )
 def test_closed_stdout_exits_2(argv):
     # Whatever the command would have found, its output cannot be written.
-    _assert_one_error_line(_run_with_stdout_closed(argv))
+    _assert_one_error_line(_run_with_closed(argv))
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        pytest.param("full", marks=pytest.mark.skipif(
+            not os.path.exists("/dev/full"), reason="no /dev/full on this host")),
+        "pipe",
+        "stderr-closed",
+        "stdin-closed",
+    ],
+)
+@pytest.mark.parametrize("args", _STREAM_CASES)
+def test_every_stream_state_keeps_the_exit_code_contract(args, state):
+    expected = run_cli(args)
+    if state == "full":
+        with open("/dev/full", "w") as full:
+            out = _run_cli_into(args, full)
+    elif state == "pipe":
+        read, write = os.pipe()
+        os.close(read)  # nobody reads: the child's first write to stdout fails
+        try:
+            out = _run_cli_into(args, write)
+        finally:
+            os.close(write)
+    else:
+        out = _run_with_closed(["-m", "netstrata.cli", *args], 2 if state == "stderr-closed" else 0)
+    if state in ("full", "pipe"):
+        # Each run writes something, so it cannot be written: exit 2.
+        assert expected.output or expected.exit_code == 2
+        _assert_one_error_line(out)
+    elif state == "stderr-closed":
+        # The exit code stands, and no diagnostic moves to stdout.
+        assert (out.returncode, out.stdout) == expected[:2]
+    else:
+        assert (out.returncode, out.stdout, out.stderr) == tuple(expected)
 
 
 def test_export_to_a_file_with_stdout_closed_exits_0(tmp_path):
     args, dot = ["export", fx("basic_stack.mln.json")], tmp_path / "out.dot"
-    out = _run_with_stdout_closed(["-m", "netstrata.cli", *args, "-o", str(dot)])
+    out = _run_with_closed(["-m", "netstrata.cli", *args, "-o", str(dot)])
     assert out.returncode == 0, out.stderr
     assert out.stderr == ""
     assert dot.read_text(encoding="utf-8") == run_cli(args).output
@@ -519,9 +556,11 @@ def test_unreadable_document_exits_2(tmp_path, content):
 
 
 def test_cli_import_leaves_out_numeric_packages():
+    # Nor `dataclasses`, which costs several milliseconds with the `inspect`
+    # it imports; the CLI's records are named tuples.
     code = (
         "import sys, netstrata.cli; "
-        "print(sorted({'networkx', 'scipy', 'numpy'} & set(sys.modules)))"
+        "print(sorted({'networkx', 'scipy', 'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))"
     )
     src = str(Path(netstrata.__file__).parents[1])
     out = subprocess.run(
@@ -535,12 +574,16 @@ def test_cli_import_leaves_out_numeric_packages():
 
 
 # Imports the CLI, runs `main` on the arguments, if any, with its output
-# dropped, and prints the `netstrata` modules loaded after each step.
+# dropped, and prints the `netstrata` modules loaded after each step, with
+# `dataclasses` and `inspect` if either got loaded (no command loads them).
 _MODULES_CHILD = """
 import contextlib, io, json, sys
 
 def loaded():
-    return sorted(m for m in sys.modules if m.partition(".")[0] == "netstrata")
+    return sorted(
+        m for m in sys.modules
+        if m.partition(".")[0] == "netstrata" or m in ("dataclasses", "inspect")
+    )
 
 import netstrata.cli
 imported = loaded()

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from collections import Counter
 
@@ -232,9 +231,9 @@ def test_rebuild_round_trip(two_layer_network):
 
 
 def test_networks_are_immutable(two_layer_network):
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         two_layer_network.mode = Mode.STRICT
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         two_layer_network.layers[0].index = 9
 
 
@@ -368,7 +367,7 @@ def test_build_network_canonicalizes_input_out_of_order(seed, consistent, how, f
         for l in reversed(net.layers)
     ]
     if how == "duplicate":  # a repeated component is an error, so keep them canonical
-        layers = [dataclasses.replace(l, components=net.layer(l.index).components) for l in layers]
+        layers = [l._replace(components=net.layer(l.index).components) for l in layers]
     crosses = [
         CrossLayer(c.upper_index, tuple(_scrambled(c.projections, how, rng)))
         for c in reversed(net.cross_layers)

@@ -7,16 +7,20 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import netstrata
 from netstrata import analysis, consistency, faults, model_io, reference
-from netstrata.model import Mode
+from netstrata.model import ComponentId, Mode, SpecSet
 from netstrata.model_io import (
     ModelDocument,
     ModelParseError,
+    _parse_component,
     emit_report,
     export_dot,
     parse_model,
+    report_payload,
     serialize_model,
 )
 from netstrata.multiplex import decompose_layer
@@ -308,6 +312,96 @@ def test_emit_cascade_report_survival_totals(fixtures_dir):
         result.final_failed_nodes
     )
     assert total == alive
+
+
+
+def _records(fixtures_dir):
+    """One record of each type, from runs on two fixtures."""
+    doc = parse_model(read(fixtures_dir, "dual_homed.mln.json"))
+    net, layer = doc.network, doc.network.layers[0]
+    report = consistency.validate(parse_model(read(fixtures_dir, "inconsistent.mln.json")).network)
+    result = faults.run_cascade(net, doc.scenario("both-hosts"))
+    flat = net.flatten()
+    return [
+        doc, net, layer, layer.components[0], layer.components[0].spec, ComponentId(1, "h1"),
+        net.cross_layers[0], flat, min(flat.edges), net.substrate[0], layer.graph, layer.graph.dfs,
+        report, report.violations[0], report.interlayer_classes[0], doc.scenarios[0], result,
+        result.rounds[0], faults.exhaustive_single_faults(net)[0], analysis.layer_metrics(layer),
+        decompose_layer(layer)[0], reference.check_reference_conformance(net, "basic"),
+    ]
+
+
+def test_every_record_is_the_tuple_of_its_fields(fixtures_dir):
+    # A record equals the tuple of its fields and hashes as it, as a frozen
+    # dataclass hashed, so set and dict orders, and stdout, stay as they were.
+    records = _records(fixtures_dir)
+    assert len({type(r) for r in records}) == 22
+    for r in records:
+        fields = tuple(getattr(r, f) for f in r._fields)
+        assert r == fields and tuple(r) == fields
+        for f in r._fields:
+            with pytest.raises(AttributeError):
+                setattr(r, f, None)
+        try:
+            want = hash(fields)
+        except TypeError:  # a field holds a dict or a list
+            continue
+        assert hash(r) == want
+
+
+def test_report_payload_tells_records_from_plain_tuples():
+    # A report or a subject is told by its type, not by equality: a plain
+    # tuple equal to a record is not taken for it.
+    kind = consistency.ViolationKind.PATH_INCONSISTENCY
+    subjects = [ComponentId(2, "s"), (2, "s"), ("a", "b"), None]
+    report = consistency.ValidationReport(
+        Mode.STRICT, tuple(consistency.Violation(kind, 2, s, "x") for s in subjects), (), ()
+    )
+    payload = report_payload(report)
+    assert [v["subject"] for v in payload["violations"]] == ["2/s", (2, "s"), ("a", "b"), None]
+    with pytest.raises(TypeError, match="cannot emit report for tuple"):
+        report_payload(tuple(report))
+    assert report_payload({})["kind"] == "metrics"
+    assert report_payload([])["kind"] == "campaign"
+
+
+class _AskedKeys(dict):
+    """A spec cache that keeps each key it is asked for: the raw forms."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+
+    def get(self, key, default=None):
+        self.asked.append(key)
+        return super().get(key, default)
+
+
+_NAMES = st.sampled_from(["a", "b", "c", "d"])
+
+
+@given(
+    st.lists(
+        st.fixed_dictionaries(
+            {"protocols": st.lists(_NAMES, max_size=3)},
+            optional={"attributes": st.dictionaries(_NAMES, _NAMES, max_size=2)},
+        ),
+        max_size=6,
+    )
+)
+@example([{"protocols": ["a", "b"]}])
+@example(
+    [{"protocols": [], "attributes": {"a": "b", "c": "d"}},
+     {"protocols": ["a", "b"], "attributes": {"c": "d"}}]
+)
+def test_spec_cache_keys_never_equal_a_spec_set(specs_raw):
+    # The cache holds raw forms and the `SpecSet`s made from them side by
+    # side. A `SpecSet` is a tuple, so a raw key must never equal one.
+    specs = _AskedKeys()
+    for i, raw in enumerate(specs_raw):
+        _parse_component({"name": f"c{i}", "kind": "hardware", **raw}, specs)
+    assert all(type(s) is SpecSet for s in specs.values())
+    assert not any(k == s for k in specs.asked for s in specs.values())
 
 
 def _component(name, protocols=("p",)):
