@@ -274,7 +274,8 @@ def run() -> NoReturn:
     if status is None:
         status = 0
     elif not isinstance(status, int):
-        print(status, file=sys.stderr)
+        if sys.stderr is not None:  # closed: `print` would write to stdout instead
+            print(status, file=sys.stderr)
         status = 1
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:

@@ -11,8 +11,10 @@ compare equal with `==`.
 
 from __future__ import annotations
 
+from array import array
 from enum import Enum
 from functools import cached_property
+from operator import eq, itemgetter, lt
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .graphutil import Graph
@@ -142,15 +144,21 @@ class Layer(_LayerFields):
 
     @cached_property
     def node_ids(self) -> dict[str, int]:
-        """Position of each component in `components`: its node id in `graph`."""
+        """Position of each component in `components`: its node id in `graph`.
+        Made on first use: only a command that looks a name up holds one."""
         return {c.name: i for i, c in enumerate(self.components)}
 
     @cached_property
-    def graph(self) -> Graph:
-        """The layer's links compiled once to node ids; link `j` is `links[j]`.
-        This is the only code that maps a layer's links to ids."""
+    def id_links(self) -> tuple[tuple[int, int], ...]:
+        """Each link of `links` as its pair of node ids. `build_network` fills
+        this in from the one pass that checks the names."""
         ids = self.node_ids
-        return Graph.of(len(ids), [(ids[a], ids[b]) for a, b in self.links])
+        return tuple((ids[a], ids[b]) for a, b in self.links)
+
+    @cached_property
+    def graph(self) -> Graph:
+        """The layer's links compiled once to node ids; link `j` is `links[j]`."""
+        return Graph.of(len(self.components), self.id_links)
 
     @cached_property
     def link_protocols(self) -> tuple[frozenset[str], ...]:
@@ -158,8 +166,8 @@ class Layer(_LayerFields):
         `links` order. Each component's protocols meet the declared set once,
         not once per link."""
         declared = frozenset(self.protocols)
-        own = {c.name: declared.intersection(c.protocols) for c in self.components}
-        return tuple(own[a] & own[b] for a, b in self.links)
+        own = [declared.intersection(c.protocols) for c in self.components]
+        return tuple(own[a] & own[b] for a, b in self.id_links)
 
 
 Projection = tuple[str, str]  # (upper component name, lower component name)
@@ -214,6 +222,20 @@ class MultilayerNetwork(_NetworkFields):
         return len(self.layers)
 
     @cached_property
+    def projection_ids(self) -> tuple[tuple[array, array], ...]:
+        """Each cross-layer's projections as two arrays of node ids, upper ends
+        and lower ends, in `projections` order: C ints, not a tuple per pair,
+        as they live as long as the model. `build_network` fills this in."""
+        ids = [layer.node_ids for layer in self.layers]
+        return tuple(
+            (
+                array("i", [ids[c.upper_index - 1][up] for up, _ in c.projections]),
+                array("i", [ids[c.upper_index - 2][low] for _, low in c.projections]),
+            )
+            for c in self.cross_layers
+        )
+
+    @cached_property
     def substrate(self) -> tuple[LayerSubstrate, ...]:
         """The tables joining adjacent layers, compiled once, bottom layer first."""
         return _compile_substrate(self)
@@ -260,11 +282,9 @@ def _compile_substrate(network: MultilayerNetwork) -> tuple[LayerSubstrate, ...]
     layers = network.layers
     supporters: list[list[list[int]]] = [[[] for _ in l.components] for l in layers]
     dependents: list[list[list[int]]] = [[[] for _ in l.components] for l in layers]
-    for cross in network.cross_layers:
+    for cross, (ups, lows) in zip(network.cross_layers, network.projection_ids):
         k = cross.upper_index - 1
-        upper_ix, lower_ix = layers[k].node_ids, layers[k - 1].node_ids
-        for up, low in cross.projections:
-            u, l = upper_ix[up], lower_ix[low]
+        for u, l in zip(ups, lows):
             supporters[k][u].append(l)
             dependents[k - 1][l].append(u)
 
@@ -296,88 +316,127 @@ def unsupported_links(
     ]
 
 
-def _check_layer(
-    layer: Layer, path: str, mode: Mode, warnings: list[str]
-) -> tuple[Layer, dict[str, str]]:
-    """Check one layer as given at `path`, then return it canonicalized, with
-    each component name mapped to itself: a lookup in that map returns the
-    component's own name object, which every link endpoint then shares."""
-    at = f"layer {layer.index}"
-    if not layer.components:
-        raise ModelError(f"{at} has no components", f"{path}.components")
-    declared = frozenset(layer.protocols)
-    names: dict[str, str] = {}
-    for j, comp in enumerate(layer.components):
-        name, spec = comp.name, comp.spec
+_FIRST, _SECOND = itemgetter(0), itemgetter(1)  # a component's name; a pair's two ends
+
+
+def _by_id(pairs: Iterable[tuple[int, int]], first: list[str], second: list[str]) -> tuple:
+    """The name pairs of node id `pairs`: the components' own name objects."""
+    firsts = map(first.__getitem__, map(_FIRST, pairs))
+    return tuple(zip(firsts, map(second.__getitem__, map(_SECOND, pairs))))
+
+
+def _layer_fault(layer: Layer, path: str) -> None:
+    """Raise the first fault of the layer as given at `path`, in input order.
+    This and `_cross_layer_fault` alone build a fault's message and path, and
+    run only once a whole-array pass has failed."""
+    at, declared, names = f"layer {layer.index}", frozenset(layer.protocols), set()
+    for j, (name, _, spec) in enumerate(layer.components):
+        where = f"{path}.components[{j}]"
         if not name:
-            raise ModelError(
-                f"{at}: component name must be non-empty", f"{path}.components[{j}].name"
-            )
+            raise ModelError(f"{at}: component name must be non-empty", f"{where}.name")
         if "/" in name:
-            raise ModelError(
-                f"{at}: component name {name!r} contains '/'", f"{path}.components[{j}].name"
-            )
+            raise ModelError(f"{at}: component name {name!r} contains '/'", f"{where}.name")
         if name in names:
-            raise ModelError(
-                f"{at}: duplicate component name {name!r}", f"{path}.components[{j}].name"
-            )
-        names[name] = name
+            raise ModelError(f"{at}: duplicate component name {name!r}", f"{where}.name")
+        names.add(name)
         if not spec.protocols:
-            raise ModelError(
-                f"{at}: component {name!r} declares no protocols",
-                f"{path}.components[{j}].protocols",
-            )
+            message = f"{at}: component {name!r} declares no protocols"
+            raise ModelError(message, f"{where}.protocols")
         if not declared.issuperset(spec.protocols):
             raise ModelError(
-                f"{at}: component {name!r} uses protocols "
-                f"{sorted(set(spec.protocols) - declared)} missing from the layer protocol set",
-                f"{path}.components[{j}].protocols",
+                f"{at}: component {name!r} uses protocols {sorted(set(spec.protocols) - declared)}"
+                " missing from the layer protocol set", f"{where}.protocols",
             )
-    links: list[Link] = []
     for k, (a, b) in enumerate(layer.links):
         if a == b:
             raise ModelError(f"{at}: self-loop on {a!r}", f"{path}.links[{k}]")
-        x, y = names.get(a), names.get(b)
-        if x is None or y is None:
+        if a not in names or b not in names:
             raise ModelError(
                 f"{at}: link ({a!r}, {b!r}) references unknown component "
-                f"{a if x is None else b!r}",
-                f"{path}.links[{k}]",
+                f"{a if a not in names else b!r}", f"{path}.links[{k}]",
             )
-        links.append((x, y))
-    if not links:
+
+
+def _check_layer(
+    layer: Layer, path: str, mode: Mode, warnings: list[str]
+) -> tuple[Layer, dict[str, int]]:
+    """Check one layer as given at `path`, each rule in one pass over a whole
+    array, and return it canonicalized, with the map of each name to its node
+    id, its sorted position. The links come out of that one map as ids, and
+    as the components' own name objects, so a model holds each name once."""
+    at = f"layer {layer.index}"
+    if not layer.components:
+        raise ModelError(f"{at} has no components", f"{path}.components")
+    declared, links = frozenset(layer.protocols), layer.links
+    components = tuple(sorted(layer.components, key=_FIRST))
+    names = list(map(_FIRST, components))
+    ids = dict(zip(names, range(len(names))))
+    specs = set(map(itemgetter(2), components))
+    ends = list(map(ids.get, map(_FIRST, links))), list(map(ids.get, map(_SECOND, links)))
+    if (
+        len(ids) < len(names)
+        or "" in ids
+        or "/" in "".join(names)
+        or not all(s.protocols and declared.issuperset(s.protocols) for s in specs)
+        or None in ends[0]
+        or None in ends[1]
+        or any(map(eq, *ends))
+    ):
+        _layer_fault(layer, path)
+        raise AssertionError(f"{path}: a whole-array pass failed where no element does")
+    if not all(map(lt, *ends)):  # some link is written larger name first
+        ends = list(map(min, *ends)), list(map(max, *ends))
+    id_links = tuple(sorted(dict.fromkeys(zip(*ends))))
+    if not id_links:
         if mode is Mode.STRICT:
             raise ModelError(f"{at} has no links (strict mode)", f"{path}.links")
         warnings.append(f"{at} has no links")
-    unused = declared.difference(*(c.protocols for c in layer.components))
+    unused = declared.difference(*(s.protocols for s in specs))
     if unused:
         warnings.append(f"{at}: declared protocols {sorted(unused)} are supported by no component")
-    return Layer.of(layer.index, layer.components, links, layer.role, declared), names
+    canonical = Layer(
+        layer.index, layer.role, components, _by_id(id_links, names, names), tuple(sorted(declared))
+    )
+    vars(canonical)["id_links"] = id_links
+    return canonical, ids
+
+
+def _cross_layer_fault(
+    cross: CrossLayer, path: str, upper: dict[str, int], lower: dict[str, int]
+) -> None:
+    """Raise the first unknown endpoint of the cross-layer as given at `path`."""
+    for k, (up, low) in enumerate(cross.projections):
+        if up not in upper or low not in lower:
+            side, name = ("upper", up) if up not in upper else ("lower", low)
+            raise ModelError(
+                f"cross-layer {cross.upper_index}->{cross.upper_index - 1}: projection "
+                f"({up!r}, {low!r}) references unknown {side} component {name!r}",
+                f"{path}.projections[{k}]",
+            )
 
 
 def _check_cross_layer(
-    cross: CrossLayer, path: str, upper: dict[str, str], lower: dict[str, str],
-    mode: Mode, warnings: list[str],
-) -> CrossLayer:
-    """Check one cross-layer as given at `path` against the name maps of its
-    two layers, then return it canonicalized, sharing their name objects."""
-    at = f"cross-layer {cross.upper_index}->{cross.upper_index - 1}"
+    cross: CrossLayer, path: str, upper: dict[str, int], lower: dict[str, int], mode: Mode,
+    warnings: list[str],
+) -> tuple[CrossLayer, tuple[array, array]]:
+    """Check one cross-layer as given at `path` against the node id maps of
+    its two layers, and return it canonicalized, with its projections as
+    node ids."""
     if not cross.projections:
+        at = f"cross-layer {cross.upper_index}->{cross.upper_index - 1}"
         if mode is Mode.STRICT:
             raise ModelError(f"{at} has no projections (strict mode)", f"{path}.projections")
         warnings.append(f"{at} has no projections")
-    projections: list[Projection] = []
-    for k, (up, low) in enumerate(cross.projections):
-        x, y = upper.get(up), lower.get(low)
-        if x is None or y is None:
-            side, name = ("upper", up) if x is None else ("lower", low)
-            raise ModelError(
-                f"{at}: projection ({up!r}, {low!r}) references unknown {side} "
-                f"component {name!r}",
-                f"{path}.projections[{k}]",
-            )
-        projections.append((x, y))
-    return CrossLayer.of(cross.upper_index, projections)
+    ups = list(map(upper.get, map(_FIRST, cross.projections)))
+    lows = list(map(lower.get, map(_SECOND, cross.projections)))
+    if None in ups or None in lows:
+        _cross_layer_fault(cross, path, upper, lower)
+        raise AssertionError(f"{path}: a whole-array pass failed where no element does")
+    pairs = sorted(dict.fromkeys(zip(ups, lows)))
+    projections = _by_id(pairs, list(upper), list(lower))
+    # An array fills far faster from a list than from an iterator.
+    ids = array("i", list(map(_FIRST, pairs))), array("i", list(map(_SECOND, pairs)))
+    return CrossLayer(cross.upper_index, projections), ids
 
 
 def build_network(
@@ -423,12 +482,13 @@ def build_network(
                 f"no cross-layer between layer {alpha} and layer {alpha - 1}",
                 "cross_layers",
             )
-    ordered_cross = tuple(
+    crosses = [
         _check_cross_layer(
             cross_layers[by_upper[alpha]], f"cross_layers[{by_upper[alpha]}]",
             checked[alpha - 1][1], checked[alpha - 2][1], mode, warnings,
         )
         for alpha in range(2, len(layers) + 1)
-    )
-
-    return MultilayerNetwork(canonical, ordered_cross, mode, tuple(warnings))
+    ]
+    network = MultilayerNetwork(canonical, tuple(c for c, _ in crosses), mode, tuple(warnings))
+    vars(network)["projection_ids"] = tuple(ids for _, ids in crosses)
+    return network

@@ -3,8 +3,10 @@
 Models live in a single JSON document (extension .mln.json) with a closed
 schema; serialization is canonical, so structurally equal models produce
 byte-identical files. Parsing checks only the document's shape; structural
-rules are `build_network`'s. Every rejection carries a position: line/column
-for malformed JSON, otherwise a JSON path to the offending element.
+rules are `build_network`'s. Both check each long array in a few whole-array
+passes, and go element by element only through an array that fails one, to
+find its first fault. Every rejection carries a position: line/column for
+malformed JSON, otherwise a JSON path to the offending element.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import gc
 import json
 import re
+from itertools import chain, repeat
+from operator import add, itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple
 
 from .model import (
@@ -123,19 +127,11 @@ def _closed(
 
 
 def _string_pair(value: Any, path: str = "") -> tuple[str, str]:
-    """The pair at `path`. Here and in `_parse_component`, which run once per
-    element of long arrays, an exact-type test guards each `_expect`, so a
-    value that passes costs no call and no path."""
-    if type(value) is not list:
-        _expect(value, list, path, "a two-element array")
+    _expect(value, list, path, "a two-element array")
     if len(value) != 2:
         raise ModelParseError("expected a two-element array", path)
     a, b = value
-    if type(a) is not str:
-        _expect(a, str, f"{path}[0]", "a string")
-    if type(b) is not str:
-        _expect(b, str, f"{path}[1]", "a string")
-    return a, b
+    return _expect(a, str, f"{path}[0]", "a string"), _expect(b, str, f"{path}[1]", "a string")
 
 
 def _each(parse: Callable[..., Any], raw: list[Any], path: str, *args: Any) -> tuple:
@@ -152,41 +148,86 @@ def _each(parse: Callable[..., Any], raw: list[Any], path: str, *args: Any) -> t
 
 
 _COMPONENT_FIELDS = frozenset({"name", "kind", "protocols", "attributes"})
+_COMPONENT_REQUIRED = ("name", "kind", "protocols")
 _KINDS = {kind.value: kind for kind in ComponentKind}
+_NO_ATTRIBUTES: dict[str, str] = {}  # read, never written
 
 
-def _parse_component(obj: Any, specs: dict[Any, SpecSet]) -> Component:
-    """The component, raising at positions relative to it. Equal specs
-    within one document come out as one `SpecSet`: `specs` maps each raw
-    form seen, and each `SpecSet` made, to that one."""
-    _closed(obj, _COMPONENT_FIELDS, ("name", "kind", "protocols"), "")
-    name, kind_raw, protocols = obj["name"], obj["kind"], obj["protocols"]
-    attributes = obj.get("attributes", {})
-    if type(name) is not str:
-        _expect(name, str, ".name", "a string")
-    if type(kind_raw) is not str:
-        _expect(kind_raw, str, ".kind", "a string")
-    kind = _KINDS.get(kind_raw)
-    if kind is None:
-        raise ModelParseError(f"unknown component kind {kind_raw!r}", ".kind")
-    if type(protocols) is not list:
-        _expect(protocols, list, ".protocols", "an array")
-    for i, p in enumerate(protocols):
-        if type(p) is not str:
-            _expect(p, str, f".protocols[{i}]", "a string")
-    if type(attributes) is not dict:
-        _expect(attributes, dict, ".attributes", "an object")
-    for k, v in attributes.items():
-        if type(v) is not str:
-            _expect(v, str, f".attributes.{k}", "a string")
-    # Strings, then pairs: unambiguous, and unlike `(protocols, attributes)`
-    # never equal to a `SpecSet`, a tuple of two tuples, stored beside it.
-    key = (*protocols, *attributes.items())
+def _spec(
+    key: tuple, protocols: list[str], attributes: dict[str, str], specs: dict[Any, SpecSet]
+) -> SpecSet:
+    """The one `SpecSet` of this document for `key`, the raw form of
+    `protocols` and `attributes`: `specs` maps each raw form seen, and each
+    `SpecSet` made, to that one. Strings, then pairs: unambiguous, and unlike
+    `(protocols, attributes)` never equal to a `SpecSet`, a tuple of two
+    tuples, stored beside it."""
     spec = specs.get(key)
     if spec is None:
         spec = SpecSet.of(protocols, attributes)
         spec = specs[key] = specs.setdefault(spec, spec)
-    return Component(name, kind, spec)
+    return spec
+
+
+def _parse_component(obj: Any, specs: dict[Any, SpecSet]) -> Component:
+    """The component, raising at positions relative to it."""
+    _closed(obj, _COMPONENT_FIELDS, _COMPONENT_REQUIRED, "")
+    name = _expect(obj["name"], str, ".name", "a string")
+    kind_raw = _expect(obj["kind"], str, ".kind", "a string")
+    if kind_raw not in _KINDS:
+        raise ModelParseError(f"unknown component kind {kind_raw!r}", ".kind")
+    protocols = _expect(obj["protocols"], list, ".protocols", "an array")
+    for i, p in enumerate(protocols):
+        _expect(p, str, f".protocols[{i}]", "a string")
+    attributes = _expect(obj.get("attributes", {}), dict, ".attributes", "an object")
+    for k, v in attributes.items():
+        _expect(v, str, f".attributes.{k}", "a string")
+    key = (*protocols, *attributes.items())
+    return Component(name, _KINDS[kind_raw], _spec(key, protocols, attributes, specs))
+
+
+def _components(raw: list[Any], specs: dict[Any, SpecSet]) -> tuple[Component, ...] | None:
+    """The components of `raw`, as `_parse_component` makes them, checked
+    in whole-array passes: exact types, each distinct key tuple, and each
+    field as one column. None if a pass fails: `_parse_component`, run on
+    each element, then finds the first fault."""
+    if not {dict}.issuperset(map(type, raw)):  # exact type: rejects _RepeatedKey
+        return None
+    for keys in set(map(tuple, raw)):
+        if not _COMPONENT_FIELDS.issuperset(keys) or not set(keys).issuperset(_COMPONENT_REQUIRED):
+            return None
+    names, kinds = list(map(itemgetter("name"), raw)), list(map(itemgetter("kind"), raw))
+    protocols = list(map(itemgetter("protocols"), raw))
+    attributes = list(map(dict.get, raw, repeat("attributes"), repeat(_NO_ATTRIBUTES)))
+    if not (
+        {str}.issuperset(map(type, names))
+        and {str}.issuperset(map(type, kinds))
+        and _KINDS.keys() >= set(kinds)
+        and {list}.issuperset(map(type, protocols))
+        and {str}.issuperset(map(type, chain.from_iterable(protocols)))
+        and {dict}.issuperset(map(type, attributes))
+        and {str}.issuperset(map(type, chain.from_iterable(map(dict.values, attributes))))
+    ):
+        return None
+    keys = list(map(tuple, protocols))
+    if attributes.count(_NO_ATTRIBUTES) < len(attributes):  # not every one empty
+        keys = list(map(add, keys, map(tuple, map(dict.items, attributes))))
+    for key, i in dict(zip(keys, range(len(keys)))).items():
+        _spec(key, protocols[i], attributes[i], specs)
+    # `tuple.__new__` makes each component with no Python-level call.
+    fields = zip(names, map(_KINDS.__getitem__, kinds), map(specs.__getitem__, keys))
+    return tuple(map(tuple.__new__, repeat(Component), fields))
+
+
+def _pairs(raw: list[Any]) -> tuple[tuple[str, str], ...] | None:
+    """The string pairs of `raw`, checked in whole-array passes, or None if
+    a pass fails: `_string_pair` then finds the first fault."""
+    if (
+        {list}.issuperset(map(type, raw))
+        and {2}.issuperset(map(len, raw))
+        and {str}.issuperset(map(type, chain.from_iterable(raw)))
+    ):
+        return tuple(map(tuple, raw))
+    return None
 
 
 def _parse_layer(obj: Any, index: int, path: str, specs: dict[Any, SpecSet]) -> Layer:
@@ -198,9 +239,11 @@ def _parse_layer(obj: Any, index: int, path: str, specs: dict[Any, SpecSet]) -> 
     except ValueError:
         raise ModelParseError(f"unknown layer role {role_raw!r}", f"{path}.role")
     comps_raw = _expect(obj["components"], list, f"{path}.components", "an array")
-    components = _each(_parse_component, comps_raw, f"{path}.components", specs)
+    components = _components(comps_raw, specs) or _each(
+        _parse_component, comps_raw, f"{path}.components", specs
+    )
     links_raw = _expect(obj.get("links", []), list, f"{path}.links", "an array")
-    links = _each(_string_pair, links_raw, f"{path}.links")
+    links = _pairs(links_raw) or _each(_string_pair, links_raw, f"{path}.links")
     if "protocols" in obj:
         protocols = _expect(obj["protocols"], list, f"{path}.protocols", "an array")
         for i, p in enumerate(protocols):
@@ -215,7 +258,7 @@ def _parse_cross_layer(obj: Any, path: str) -> CrossLayer:
     _closed(obj, {"upper_index", "projections"}, ("upper_index", "projections"), path)
     upper_index = _expect(obj["upper_index"], int, f"{path}.upper_index", "an integer")
     raw = _expect(obj["projections"], list, f"{path}.projections", "an array")
-    return CrossLayer(upper_index, _each(_string_pair, raw, f"{path}.projections"))
+    return CrossLayer(upper_index, _pairs(raw) or _each(_string_pair, raw, f"{path}.projections"))
 
 
 def _parse_node_ref(obj: Any, layers: tuple[Layer, ...], path: str) -> ComponentId:

@@ -378,6 +378,21 @@ def _run_with_closed(argv, fd=1):
     )
 
 
+def test_run_drops_a_text_exit_status_when_stderr_is_closed():
+    # `run` prints a status that is not an int to stderr, as Python's own exit
+    # does; with stderr closed the line is dropped, not sent to stdout.
+    code = "\n".join([
+        "import sys",
+        "from netstrata import cli",
+        "cli.main = lambda: sys.exit('no model')",
+        "cli.run()",
+    ])
+    out = _run_with_closed(["-c", code], 2)
+    assert (out.returncode, out.stdout) == (1, "")
+    out = _run_with_closed(["-c", code], 0)  # stdin closed, stderr open: the line is written
+    assert (out.returncode, out.stdout, out.stderr) == (1, "", "no model\n")
+
+
 # Every command on a passing, a failing and a malformed document, plus help and
 # version: the runs that each stream state below is tried on.
 _STREAM_CASES = [

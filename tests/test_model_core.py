@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 
@@ -17,6 +18,7 @@ from netstrata.model import (
 )
 from netstrata.generators import random_network
 from netstrata.graphutil import Graph, component_labels
+from netstrata.model_io import ModelParseError, parse_model
 
 from . import oracles
 from .conftest import comp, exactly, layer
@@ -157,6 +159,84 @@ def test_model_error_path_indexes_the_input_as_given():
     with pytest.raises(ModelError, match=exactly("layer 2: duplicate component name 'd'")) as exc:
         build_network(layers, crosses)
     assert exc.value.path == "layers[2].components[2].name"
+
+
+@pytest.mark.parametrize(
+    "names, links, projections, message, path",
+    [
+        (
+            ["a", "b"], [("a", "a"), ("a", "zed")], [],
+            "layer 1: self-loop on 'a'", "layers[0].links[0]",
+        ),
+        (
+            ["a", "b"], [("a", "zed"), ("b", "b")], [],
+            "layer 1: link ('a', 'zed') references unknown component 'zed'", "layers[0].links[0]",
+        ),
+        (
+            ["", "b", "b"], [("b", "c")], [],
+            "layer 1: component name must be non-empty", "layers[0].components[0].name",
+        ),
+        (
+            ["b", "b", ""], [("b", "c")], [],
+            "layer 1: duplicate component name 'b'", "layers[0].components[1].name",
+        ),
+        (  # every component is checked before the first link
+            ["a", "b/c"], [("a", "a")], [],
+            "layer 1: component name 'b/c' contains '/'", "layers[0].components[1].name",
+        ),
+        (
+            ["a", "b"], [("a", "b")], [("x", "ghost"), ("ghost", "a")],
+            "cross-layer 2->1: projection ('x', 'ghost') references unknown lower component "
+            "'ghost'",
+            "cross_layers[0].projections[2]",
+        ),
+    ],
+    ids=[
+        "self-loop-then-unknown", "unknown-then-self-loop", "empty-then-duplicate",
+        "duplicate-then-empty", "component-before-link", "two-unknown-projection-ends",
+    ],
+)
+def test_the_first_of_two_faults_in_an_array_is_reported(names, links, projections, message, path):
+    # The whole-array passes find that an array has a fault; the one reported
+    # is the first in input order, at the path the input gives it.
+    raw = [
+        Layer(1, LayerRole.CUSTOM, tuple(comp(n) for n in names), tuple(links), ("p1",)),
+        Layer(2, LayerRole.CUSTOM, (comp("x"), comp("y")), (("x", "y"),), ("p1",)),
+    ]
+    projections = [("x", "a"), ("y", "b"), *projections]
+    with pytest.raises(ModelError, match=exactly(message)) as exc:
+        build_network(raw, [CrossLayer(2, tuple(projections))])
+    assert exc.value.path == path
+
+    document = {
+        "format_version": "1",
+        "layers": [
+            {
+                "role": "custom",
+                "protocols": ["p1"],
+                "components": [{"name": n, "kind": "hardware", "protocols": ["p1"]} for n in c],
+                "links": [list(link) for link in ls],
+            }
+            for c, ls in ((names, links), (["x", "y"], [("x", "y")]))
+        ],
+        "cross_layers": [{"upper_index": 2, "projections": [list(p) for p in projections]}],
+    }
+    with pytest.raises(ModelParseError) as exc:
+        parse_model(json.dumps(document))
+    assert (exc.value.message, exc.value.position) == (message, f"$.{path}")
+
+
+def test_the_first_of_two_shape_faults_in_an_array_is_reported():
+    components = [{"name": "a", "kind": "hardware", "protocols": ["p1"]}] * 2
+    document = {
+        "format_version": "1",
+        "layers": [{"role": "custom", "components": components, "links": [["a", 1], ["a"]]}],
+    }
+    with pytest.raises(ModelParseError) as exc:
+        parse_model(json.dumps(document))
+    assert (exc.value.message, exc.value.position) == (
+        "expected a string, got int", "$.layers[0].links[0][1]"
+    )
 
 
 def test_layer_index_gap():
