@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import NoReturn, TextIO
 
 from . import __version__, model_io
-from .model import ComponentId, Mode
+from .model import ComponentId, Layer, Mode
 from .model_io import ModelDocument, ModelParseError
 
 MODES = tuple(mode.value for mode in Mode)
@@ -80,6 +80,14 @@ def _load(path: str, mode: str | None) -> ModelDocument:
         return model_io.parse_model(_read(path), mode)
     except (OSError, ModelParseError) as exc:
         _usage_error(str(exc))
+
+
+def _layer(doc: ModelDocument, index: int) -> Layer:
+    """The layer `--layer` names; one the model does not have is exit 2."""
+    try:
+        return doc.network.layer(index)
+    except KeyError as exc:
+        _usage_error(exc.args[0])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,10 +150,7 @@ def decompose(args: argparse.Namespace) -> int:
     """List the protocol sub-layers of one layer."""
     from . import multiplex
     doc = _load(args.model, args.mode)
-    try:
-        layer = doc.network.layer(args.layer)
-    except KeyError as exc:
-        _usage_error(exc.args[0])
+    layer = _layer(doc, args.layer)
     lines = []
     for sub in multiplex.decompose_layer(layer):
         links = ", ".join(f"({a}, {b})" for a, b in sub.links)
@@ -164,10 +169,7 @@ def metrics(args: argparse.Namespace) -> int:
     from . import analysis
     doc = _load(args.model, args.mode)
     if args.layer is not None:
-        try:
-            layers = [doc.network.layer(args.layer)]
-        except KeyError as exc:
-            _usage_error(exc.args[0])
+        layers = [_layer(doc, args.layer)]
     else:
         layers = list(doc.network.layers)
     bundle = {layer.index: analysis.layer_metrics(layer) for layer in layers}

@@ -3,10 +3,10 @@
 A network is an ordered stack of layers (bottom = physical reality, higher =
 virtual strata) plus one bipartite cross-layer between each adjacent pair.
 Every record is a named tuple, so it hashes and compares as the tuple of its
-fields. A type with a `cached_property` subclasses a named tuple of its
-fields, as the subclass has the `__dict__` that the cache is kept in.
-`build_network` canonicalizes its inputs so structurally equal networks
-compare equal with `==`.
+fields. A type with a `cached_property` or a node id table subclasses a
+named tuple of its fields, as the subclass has the `__dict__` that they are
+kept in. `build_network` canonicalizes its inputs so structurally equal
+networks compare equal with `==`.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from .graphutil import Graph
 
 class ModelError(ValueError):
     """Structural problem detected while assembling a network. `path` names
-    the offending input of `build_network`, e.g. `layers[0].links[3]`."""
+    the input at fault: `layers[0].links[3]`, or `links[3]` of `Layer.of`."""
 
-    def __init__(self, message: str, path: str = ""):
+    def __init__(self, message: str, path: str):
         super().__init__(message)
         self.path = path
 
@@ -112,6 +112,9 @@ class _LayerFields(NamedTuple):
 class Layer(_LayerFields):
     """One stratum: components, intralayer links, and its protocol set."""
 
+    # Each link of `links` as its pair of node ids, set only by `_check_layer`.
+    id_links: tuple[tuple[int, int], ...]
+
     @staticmethod
     def of(
         index: int,
@@ -120,18 +123,14 @@ class Layer(_LayerFields):
         role: LayerRole = LayerRole.CUSTOM,
         protocols: Iterable[str] | None = None,
     ) -> "Layer":
-        """Canonical constructor: sorts everything; protocols default to the
-        union of the components' supported protocols. Deduplicating keeps the
-        input order, so input already sorted sorts in one linear pass."""
-        comps = tuple(sorted(components, key=lambda c: c.name))
-        canon_links = tuple(sorted(dict.fromkeys(canonical_link(a, b) for a, b in links)))
+        """The layer `build_network` makes of these arguments in relaxed mode,
+        or a `ModelError` at the argument, e.g. `components[1].name`. Protocols
+        default to the union of the components' supported protocols."""
+        components = tuple(components)
         if protocols is None:
-            protos: set[str] = set()
-            for c in comps:
-                protos.update(c.protocols)
-        else:
-            protos = set(protocols)
-        return Layer(index, role, comps, canon_links, tuple(sorted(protos)))
+            protocols = set().union(*(c.protocols for c in components))
+        raw = Layer(index, role, components, tuple(links), tuple(protocols))
+        return _check_layer(raw, "", Mode.RELAXED, [])[0]
 
     @cached_property
     def component_names(self) -> frozenset[str]:
@@ -147,13 +146,6 @@ class Layer(_LayerFields):
         """Position of each component in `components`: its node id in `graph`.
         Made on first use: only a command that looks a name up holds one."""
         return {c.name: i for i, c in enumerate(self.components)}
-
-    @cached_property
-    def id_links(self) -> tuple[tuple[int, int], ...]:
-        """Each link of `links` as its pair of node ids. `build_network` fills
-        this in from the one pass that checks the names."""
-        ids = self.node_ids
-        return tuple((ids[a], ids[b]) for a, b in self.links)
 
     @cached_property
     def graph(self) -> Graph:
@@ -217,23 +209,13 @@ class _NetworkFields(NamedTuple):
 class MultilayerNetwork(_NetworkFields):
     """Validated, immutable multilayer model. Build via `build_network`."""
 
+    # Each cross-layer's projections as two arrays of node ids, upper ends and
+    # lower ends, set by `build_network`: C ints, as they live as long as the model.
+    projection_ids: tuple[tuple[array, array], ...]
+
     @property
     def depth(self) -> int:
         return len(self.layers)
-
-    @cached_property
-    def projection_ids(self) -> tuple[tuple[array, array], ...]:
-        """Each cross-layer's projections as two arrays of node ids, upper ends
-        and lower ends, in `projections` order: C ints, not a tuple per pair,
-        as they live as long as the model. `build_network` fills this in."""
-        ids = [layer.node_ids for layer in self.layers]
-        return tuple(
-            (
-                array("i", [ids[c.upper_index - 1][up] for up, _ in c.projections]),
-                array("i", [ids[c.upper_index - 2][low] for _, low in c.projections]),
-            )
-            for c in self.cross_layers
-        )
 
     @cached_property
     def substrate(self) -> tuple[LayerSubstrate, ...]:
@@ -326,12 +308,12 @@ def _by_id(pairs: Iterable[tuple[int, int]], first: list[str], second: list[str]
 
 
 def _layer_fault(layer: Layer, path: str) -> None:
-    """Raise the first fault of the layer as given at `path`, in input order.
-    This and `_cross_layer_fault` alone build a fault's message and path, and
-    run only once a whole-array pass has failed."""
+    """Raise the first fault of the layer as given, in input order, its path
+    prefixed with `path`. This and `_cross_layer_fault` alone build a fault's
+    message and path, and run only once a whole-array pass has failed."""
     at, declared, names = f"layer {layer.index}", frozenset(layer.protocols), set()
     for j, (name, _, spec) in enumerate(layer.components):
-        where = f"{path}.components[{j}]"
+        where = f"{path}components[{j}]"
         if not name:
             raise ModelError(f"{at}: component name must be non-empty", f"{where}.name")
         if "/" in name:
@@ -349,24 +331,25 @@ def _layer_fault(layer: Layer, path: str) -> None:
             )
     for k, (a, b) in enumerate(layer.links):
         if a == b:
-            raise ModelError(f"{at}: self-loop on {a!r}", f"{path}.links[{k}]")
+            raise ModelError(f"{at}: self-loop on {a!r}", f"{path}links[{k}]")
         if a not in names or b not in names:
             raise ModelError(
                 f"{at}: link ({a!r}, {b!r}) references unknown component "
-                f"{a if a not in names else b!r}", f"{path}.links[{k}]",
+                f"{a if a not in names else b!r}", f"{path}links[{k}]",
             )
 
 
 def _check_layer(
     layer: Layer, path: str, mode: Mode, warnings: list[str]
 ) -> tuple[Layer, dict[str, int]]:
-    """Check one layer as given at `path`, each rule in one pass over a whole
-    array, and return it canonicalized, with the map of each name to its node
-    id, its sorted position. The links come out of that one map as ids, and
-    as the components' own name objects, so a model holds each name once."""
+    """Check one layer as given, each rule in one pass over a whole array, with
+    error paths under `path`. Return it canonicalized, with the map of each
+    name to its node id, its sorted position. The links come out of that map as
+    ids, and as the components' own name objects, so a model holds each name
+    once. Deduplicating keeps input order: sorted input sorts in linear time."""
     at = f"layer {layer.index}"
     if not layer.components:
-        raise ModelError(f"{at} has no components", f"{path}.components")
+        raise ModelError(f"{at} has no components", f"{path}components")
     declared, links = frozenset(layer.protocols), layer.links
     components = tuple(sorted(layer.components, key=_FIRST))
     names = list(map(_FIRST, components))
@@ -383,13 +366,13 @@ def _check_layer(
         or any(map(eq, *ends))
     ):
         _layer_fault(layer, path)
-        raise AssertionError(f"{path}: a whole-array pass failed where no element does")
+        raise AssertionError(f"{at}: a whole-array pass failed where no element does")
     if not all(map(lt, *ends)):  # some link is written larger name first
         ends = list(map(min, *ends)), list(map(max, *ends))
     id_links = tuple(sorted(dict.fromkeys(zip(*ends))))
     if not id_links:
         if mode is Mode.STRICT:
-            raise ModelError(f"{at} has no links (strict mode)", f"{path}.links")
+            raise ModelError(f"{at} has no links (strict mode)", f"{path}links")
         warnings.append(f"{at} has no links")
     unused = declared.difference(*(s.protocols for s in specs))
     if unused:
@@ -397,7 +380,7 @@ def _check_layer(
     canonical = Layer(
         layer.index, layer.role, components, _by_id(id_links, names, names), tuple(sorted(declared))
     )
-    vars(canonical)["id_links"] = id_links
+    canonical.id_links = id_links
     return canonical, ids
 
 
@@ -460,7 +443,7 @@ def build_network(
         raise ModelError(f"layer indices must be exactly 1..N, got {indices}", "layers")
 
     warnings: list[str] = []
-    checked = [_check_layer(layers[i], f"layers[{i}]", mode, warnings) for i in order]
+    checked = [_check_layer(layers[i], f"layers[{i}].", mode, warnings) for i in order]
     canonical = tuple(layer for layer, _ in checked)
 
     by_upper: dict[int, int] = {}
@@ -490,5 +473,5 @@ def build_network(
         for alpha in range(2, len(layers) + 1)
     ]
     network = MultilayerNetwork(canonical, tuple(c for c, _ in crosses), mode, tuple(warnings))
-    vars(network)["projection_ids"] = tuple(ids for _, ids in crosses)
+    network.projection_ids = tuple(ids for _, ids in crosses)
     return network

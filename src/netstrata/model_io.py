@@ -363,7 +363,7 @@ def _parse_document(text: str, mode: Mode | str | None) -> ModelDocument:
     try:
         network = build_network(layers, cross_layers, declared if mode is None else mode)
     except ModelError as exc:
-        raise ModelParseError(str(exc), f"$.{exc.path}" if exc.path else "$")
+        raise ModelParseError(str(exc), f"$.{exc.path}")
 
     scenarios_raw = _expect(data.get("scenarios", []), list, "$.scenarios", "an array")
     scenarios = []

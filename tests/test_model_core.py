@@ -76,32 +76,40 @@ def test_missing_cross_layer():
     assert exc.value.path == "cross_layers"
 
 
+def assert_rejected(message, path, components, links=(), protocols=None, mode=Mode.STRICT):
+    """`build_network` rejects layer 1 of these arguments, as written, with
+    `message` at `path` under `layers[0].`, and `Layer.of` at `path` itself."""
+    if protocols is None:
+        protocols = sorted({p for c in components for p in c.protocols})
+    raw = Layer(1, LayerRole.CUSTOM, tuple(components), tuple(links), tuple(protocols))
+    with pytest.raises(ModelError, match=exactly(message)) as exc:
+        build_network([raw], mode=mode)
+    assert exc.value.path == f"layers[0].{path}"
+    with pytest.raises(ModelError, match=exactly(message)) as exc:
+        Layer.of(1, components, links, protocols=protocols)
+    assert exc.value.path == path
+
+
 def test_empty_layer_set():
     with pytest.raises(ModelError, match=exactly("a network needs at least one layer")) as exc:
         build_network([])
     assert exc.value.path == "layers"
-    with pytest.raises(ModelError, match=exactly("layer 1 has no components")) as exc:
-        build_network([layer(1, [])])
-    assert exc.value.path == "layers[0].components"
+    assert_rejected("layer 1 has no components", "components", [])
 
 
 def test_duplicate_component_name():
-    with pytest.raises(ModelError, match=exactly("layer 1: duplicate component name 'x'")) as exc:
-        build_network([layer(1, [comp("x"), comp("x")], [])], mode=Mode.RELAXED)
-    assert exc.value.path == "layers[0].components[1].name"
+    message = "layer 1: duplicate component name 'x'"
+    assert_rejected(message, "components[1].name", [comp("x"), comp("x")], mode=Mode.RELAXED)
 
 
 def test_dangling_link_endpoint():
     message = "layer 1: link ('a', 'ghost') references unknown component 'ghost'"
-    with pytest.raises(ModelError, match=exactly(message)) as exc:
-        build_network([layer(1, [comp("a"), comp("b")], [("a", "ghost")])])
-    assert exc.value.path == "layers[0].links[0]"
+    assert_rejected(message, "links[0]", [comp("a"), comp("b")], [("a", "ghost")])
 
 
 def test_self_loop_rejected():
-    with pytest.raises(ModelError, match=exactly("layer 1: self-loop on 'a'")) as exc:
-        build_network([layer(1, [comp("a"), comp("b")], [("a", "a")])])
-    assert exc.value.path == "layers[0].links[0]"
+    message = "layer 1: self-loop on 'a'"
+    assert_rejected(message, "links[0]", [comp("a"), comp("b")], [("a", "a")])
 
 
 def test_empty_edge_set_strict_vs_relaxed():
@@ -254,19 +262,15 @@ def test_layer_index_gap():
 
 def test_empty_spec_set():
     message = "layer 1: component 'a' declares no protocols"
-    with pytest.raises(ModelError, match=exactly(message)) as exc:
-        build_network([layer(1, [comp("a", [])])], mode=Mode.RELAXED)
-    assert exc.value.path == "layers[0].components[0].protocols"
+    assert_rejected(message, "components[0].protocols", [comp("a", [])], mode=Mode.RELAXED)
 
 
 def test_undeclared_protocol():
     message = "layer 1: component 'a' uses protocols ['p9'] missing from the layer protocol set"
-    with pytest.raises(ModelError, match=exactly(message)) as exc:
-        build_network(
-            [layer(1, [comp("a", ["p9"])], [], protocols=["p1"])],
-            mode=Mode.RELAXED,
-        )
-    assert exc.value.path == "layers[0].components[0].protocols"
+    assert_rejected(
+        message, "components[0].protocols", [comp("a", ["p9"])], protocols=["p1"],
+        mode=Mode.RELAXED,
+    )
 
 
 def test_declared_superset_warns_when_unused():

@@ -1,11 +1,12 @@
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netstrata.generators import random_layer
-from netstrata.model import Layer
+from netstrata.model import Layer, ModelError
 from netstrata.multiplex import (
     check_cover,
     decompose_layer,
@@ -109,17 +110,27 @@ def test_decomposition_is_stable_under_reapplication(seed):
     assert once == again
 
 
-@given(seed=st.integers(0, 10_000), narrow=st.booleans())
+@given(seed=st.integers(0, 10_000), declare=st.sampled_from(["as drawn", "narrow", "extra"]))
 @settings(max_examples=80, deadline=None)
-def test_decomposition_matches_oracle(seed, narrow):
+def test_decomposition_matches_oracle(seed, declare):
     rng = random.Random(seed)
     l = random_layer(rng, ensure_cover=False)
-    if narrow:
-        # declare fewer protocols than the components support: the rest
-        # must induce no sub-layer
+    extra = []
+    if declare == "narrow":
+        # declare fewer protocols: a declaration that leaves out one some
+        # component supports is a layer `build_network` rejects too
         declared = rng.sample(l.protocols, rng.randint(0, len(l.protocols)))
+        if not set(declared).issuperset(p for c in l.components for p in c.protocols):
+            with pytest.raises(ModelError, match="missing from the layer protocol set$"):
+                Layer.of(l.index, l.components, l.links, l.role, declared)
+            return
         l = Layer.of(l.index, l.components, l.links, l.role, declared)
+    elif declare == "extra":
+        # protocols no component supports must induce no sub-layer
+        extra = rng.sample(["p4", "p9", "zz"], rng.randint(1, 3))
+        l = Layer.of(l.index, l.components, l.links, l.role, [*l.protocols, *extra])
     subs, unused = oracle_decomposition(l)
+    assert set(extra) <= set(unused_protocols(l))
     got = decompose_layer(l)
     assert [sub.protocol for sub in got] == sorted(subs)
     assert {sub.protocol: list(sub.links) for sub in got} == subs

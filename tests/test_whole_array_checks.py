@@ -12,6 +12,7 @@ accept ends in the `AssertionError` after the fault finder.
 
 import json
 import random
+from array import array
 from contextlib import contextmanager
 from unittest import mock
 
@@ -66,17 +67,19 @@ def assert_paths_agree(text):
 
 
 def assert_seeded_tables_are_the_named_ones(network):
-    """The id tables `build_network` fills in equal those mapped from names
-    on a copy without them, and every endpoint is its component's own name."""
-    assert network._replace().projection_ids == network.projection_ids
-    own = {}
+    """The id tables `build_network` fills in equal those mapped here from
+    names, and every endpoint is its component's own name."""
+    own, ids = {}, {}
     for layer in network.layers:
-        copy = layer._replace()
-        assert (copy.node_ids, copy.id_links) == (layer.node_ids, layer.id_links)
+        at = ids[layer.index] = {c.name: i for i, c in enumerate(layer.components)}
+        assert layer.node_ids == at
+        assert layer.id_links == tuple((at[a], at[b]) for a, b in layer.links)
         names = own[layer.index] = {c.name: c.name for c in layer.components}
         assert all(a is names[a] and b is names[b] for a, b in layer.links)
-    for cross in network.cross_layers:
+    for cross, (ups, lows) in zip(network.cross_layers, network.projection_ids, strict=True):
         upper, lower = own[cross.upper_index], own[cross.upper_index - 1]
+        assert ups == array("i", [ids[cross.upper_index][u] for u, _ in cross.projections])
+        assert lows == array("i", [ids[cross.upper_index - 1][l] for _, l in cross.projections])
         assert all(u is upper[u] and l is lower[l] for u, l in cross.projections)
 
 
