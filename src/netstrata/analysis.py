@@ -4,6 +4,7 @@ failure (articulation points and bridges)."""
 
 from __future__ import annotations
 
+from array import array
 from typing import NamedTuple, Sequence
 
 from .graphutil import cut_points
@@ -11,9 +12,11 @@ from .model import Layer, Link
 
 # BFS sources per chunk; a chunk holds their trees as chunk * n int32 predecessors.
 _DIAMETER_CHUNK = 256
-# Largest predicted fringe search, in BFS visits (searches times the nodes plus
-# twice the links of the component), run in Python. 10**6 visits take about
-# 55 ms, an eighth of importing numpy and scipy's csgraph (about 0.45 s).
+# Work the fringe search may spend in Python before it hands the rest of the
+# fringe to scipy: BFS visits (the component's nodes plus twice its links per
+# search), plus one per node and per 64-bit word of each centre's `_far` table,
+# so the tables hold at most 8 MB. 10**6 visits take about 55 ms, an eighth of
+# importing numpy and scipy's csgraph (about 0.45 s).
 _PYTHON_BFS_VISITS = 1_000_000
 
 
@@ -31,66 +34,117 @@ class LayerMetrics(NamedTuple):
     bridges: tuple[Link, ...]
 
 
-def _bfs(adj: Sequence[Sequence[int]], s: int) -> tuple[list[int], list[int]]:
-    """The nodes reached from `s` in BFS order, and each node's predecessor in
-    the BFS tree (-1 if not reached)."""
+def _bfs(adj: Sequence[Sequence[int]], s: int) -> tuple[list[int], list[int], list[int]]:
+    """The nodes reached from `s` in BFS order, each node's predecessor in the
+    BFS tree, and each node's distance from `s` (both -1 if not reached)."""
     pred = [-1] * len(adj)
-    pred[s] = s
+    dist = pred[:]
+    pred[s], dist[s] = s, 0
     order = [s]
     for v in order:  # the loop also walks the nodes appended while it runs
+        d = dist[v] + 1
         for w in adj[v]:
-            if pred[w] < 0:
-                pred[w] = v
+            if dist[w] < 0:
+                pred[w], dist[w] = v, d
                 order.append(w)
-    return order, pred
+    return order, pred, dist
 
 
-def _farthest_path(adj: Sequence[Sequence[int]], s: int) -> list[int]:
-    """A shortest path from a node farthest from `s` back to `s`."""
-    order, pred = _bfs(adj, s)
-    path = [order[-1]]
-    while path[-1] != s:
-        path.append(pred[path[-1]])
-    return path
+def _far(order: Sequence[int], dist: Sequence[int]) -> list[int]:
+    """`far[t]` for each t below the eccentricity of the source of the BFS
+    `order`: the nodes farther than t from it, as an int bitset of node ids."""
+    bits = bytearray((len(dist) + 7) // 8)
+    t = dist[order[-1]]
+    far = [0] * t
+    for v in reversed(order):
+        if dist[v] < t:  # `bits` holds every node farther than dist[v]
+            t = dist[v]
+            far[t] = int.from_bytes(bits, "little")
+        bits[v >> 3] |= 1 << (v & 7)
+    return far
 
 
 def _diameter(n: int, pairs: Sequence[tuple[int, int]], start: int) -> int:
     """Largest finite BFS distance in the component of `start`, in the graph
     `0..n-1`, by iFUB (Crescenzi et al., TCS 2013). Two double sweeps give a
-    lower bound and a central node `u`; then nodes are searched from the
-    fringe of `u`'s BFS tree inwards, until the bound is at least twice the
+    lower bound `best` and a central node `u`; then nodes are searched from
+    the fringe of `u`'s BFS tree inwards, until `best` is at least twice the
     depth of every node left, since no two of those can be farther apart.
-    The sweeps and `u`'s tree are Python BFS. So is the fringe search when
-    its predicted visits are at most `_PYTHON_BFS_VISITS`; a larger one pays
-    for importing scipy and runs in `_compiled_fringe_search`."""
+
+    Every BFS made is kept as a centre c, and its eccentricity is folded into
+    `best`. A fringe node v is searched only if some node y not yet searched
+    has d(v, c) + d(c, y) > `best` for every centre c; otherwise no node is
+    farther than `best` from v, and v is skipped. The test is one AND of `_far`
+    tables per centre. The search runs in Python until its next step would
+    spend more than `_PYTHON_BFS_VISITS`; then the rest of the fringe goes to
+    `_compiled_fringe_search`, which imports scipy."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for a, b in pairs:
         adj[a].append(b)
         adj[b].append(a)
+    # Per source: its BFS order and distances, as C int arrays of 8 bytes a node.
+    runs: dict[int, tuple[Sequence[int], Sequence[int]]] = {}
 
-    best, u = 0, start
+    def bfs(s: int) -> tuple[list[int], list[int], list[int]]:
+        order, pred, dist = _bfs(adj, s)
+        runs[s] = array("i", order), array("i", dist)
+        return order, pred, dist
+
+    u = start
     for _ in range(2):
-        path = _farthest_path(adj, _farthest_path(adj, u)[0])
-        best = max(best, len(path) - 1)
+        order, pred, _ = bfs(bfs(u)[0][-1])
+        path = [order[-1]]
+        while path[-1] != order[0]:
+            path.append(pred[path[-1]])
         u = path[len(path) // 2]
-
-    order, pred = _bfs(adj, u)
-    depth = [0] * n
-    for v in order[1:]:
-        depth[v] = depth[pred[v]] + 1
+    if u not in runs:
+        bfs(u)
+    order, depth = runs[u]
+    # Each search's eccentricity, u's included, is a lower bound; every
+    # threshold read below needs the centre's own eccentricity in `best`.
+    best = max(dist[o[-1]] for o, dist in runs.values())
     # Deepest first. Any two nodes at most best / 2 deep are at most `best`
-    # apart, so only deeper ones need a search: at most len(fringe) searches,
-    # each visiting every node of the component and both ends of its links.
+    # apart, so only deeper ones need a search.
     fringe = [v for v in reversed(order) if 2 * depth[v] > best]
-    visits = len(order) + sum(len(adj[v]) for v in order)
-    if len(fringe) * visits > _PYTHON_BFS_VISITS:
-        return _compiled_fringe_search(n, pairs, fringe, depth, best)
-    for v in fringe:
-        # Every node not yet searched is at most this deep, so any two of
-        # them are at most twice this far apart.
+    visits = len(order) + sum(len(adj[v]) for v in order)  # per search
+    words = (n + 63) // 64  # per threshold of a `_far` table
+    spent, tables = 0, []
+    for i, v in enumerate(fringe):
+        # Every node not yet searched or skipped is at most this deep, so any
+        # two of them are at most twice this far apart.
         if best >= 2 * depth[v]:
             break
-        best = max(best, len(_farthest_path(adj, v)) - 1)
+        if v in runs:
+            continue  # searched: its eccentricity is in `best`
+        if tables is not None and len(tables) < len(runs):
+            # A centre's table is made when a test first needs it, and costs a
+            # visit per node and per 64-bit word it holds. If the tables would
+            # pass the budget, none is kept, and the rest of the fringe is
+            # searched untested: in Python only if all of it fits the budget.
+            new = list(runs.values())[len(tables) :]
+            cost = sum(len(o) + dist[o[-1]] * words for o, dist in new)
+            if spent + cost > _PYTHON_BFS_VISITS:
+                if spent + (len(fringe) - i) * visits > _PYTHON_BFS_VISITS:
+                    return _compiled_fringe_search(n, pairs, fringe[i:], depth, best)
+                tables = None
+            else:
+                spent += cost
+                tables += [(dist, _far(o, dist)) for o, dist in new]
+        # The nodes other than v that are farther than `best` from v through
+        # every centre. A centre is not farther than t >= 0 from itself, so no
+        # searched node is left in `rest`.
+        rest = ~(1 << v)
+        for dist, far in tables or ():
+            t = best - dist[v]
+            rest = rest & far[t] if t < len(far) else 0
+            if not rest:
+                break
+        else:
+            spent += visits
+            if spent > _PYTHON_BFS_VISITS:
+                return _compiled_fringe_search(n, pairs, fringe[i:], depth, best)
+            o, _, dist = bfs(v)
+            best = max(best, dist[o[-1]])
     return best
 
 
@@ -101,11 +155,12 @@ def _compiled_fringe_search(
     depth: Sequence[int],
     best: int,
 ) -> int:
-    """The fringe search of `_diameter` in scipy's compiled BFS. Each search
-    is one BFS tree; the last node of its BFS order is a farthest one, and its
-    depth is found by following the tree's predecessors back to the source,
-    for a whole chunk of sources at once."""
-    # Only large layers need scipy; importing it here keeps it out of the rest.
+    """The rest of `_diameter`'s fringe search, each node searched, in scipy's
+    compiled BFS. Each search is one BFS tree; the last node of its BFS order
+    is a farthest one, and its depth is found by following the tree's
+    predecessors back to the source, for a whole chunk of sources at once."""
+    # Only layers the Python search cannot finish need scipy; importing it here
+    # keeps it out of the rest.
     import numpy as np
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order

@@ -29,8 +29,23 @@ def random_layer(
     ensure_cover: bool = True,
     connected: bool = False,
 ) -> Layer:
-    """Random layer. With `ensure_cover` every component shares the first
-    protocol, so every link's endpoints share at least one protocol."""
+    """Random layer, checked by `Layer.of`. With `ensure_cover` every component
+    shares the first protocol, so every link's endpoints share at least one
+    protocol."""
+    raw = _random_record(rng, index, n_min, n_max, protocols, ensure_cover, connected)
+    return Layer.of(index, raw.components, raw.links, protocols=protocols)
+
+
+def _random_record(
+    rng: random.Random,
+    index: int,
+    n_min: int,
+    n_max: int,
+    protocols: tuple[str, ...],
+    ensure_cover: bool,
+    connected: bool,
+) -> Layer:
+    """`random_layer`'s layer as a raw record, for `build_network` to check."""
     n = rng.randint(n_min, n_max)
     components = []
     for i in range(n):
@@ -56,7 +71,7 @@ def random_layer(
         a, b = rng.sample(names, 2) if n >= 2 else (None, None)
         if a is not None:
             links.add(canonical_link(a, b))
-    return Layer.of(index, components, links, protocols=protocols)
+    return Layer(index, LayerRole.CUSTOM, tuple(components), tuple(links), protocols)
 
 
 def random_network(
@@ -85,27 +100,22 @@ def random_network(
         remaining -= size
 
     layers = [
-        random_layer(
-            rng,
-            index=i + 1,
-            n_min=sizes[i],
-            n_max=sizes[i],
-            ensure_cover=consistent,
-            connected=consistent,
+        _random_record(
+            rng, i + 1, sizes[i], sizes[i], PROTOCOL_POOL[:3], consistent, consistent
         )
         for i in range(n_layers)
     ]
+    # Names in sorted order, as `build_network` orders each layer's components.
+    names = [sorted(c.name for c in layer.components) for layer in layers]
     cross_layers = []
     for alpha in range(2, n_layers + 1):
-        upper = layers[alpha - 1]
-        lower = layers[alpha - 2]
-        lower_names = [c.name for c in lower.components]
+        lower_names = names[alpha - 2]
         projections: set[tuple[str, str]] = set()
-        for comp in upper.components:
+        for name in names[alpha - 1]:
             if consistent or rng.random() < 0.8:
                 k = rng.randint(1, min(2, len(lower_names)))
                 for low in rng.sample(lower_names, k):
-                    projections.add((comp.name, low))
+                    projections.add((name, low))
         cross_layers.append(CrossLayer.of(alpha, projections))
     return build_network(layers, cross_layers, Mode.RELAXED)
 
@@ -151,7 +161,7 @@ def desk_model(
                 links.add(link)
                 added += 1
             i += step
-        layers.append(Layer.of(alpha, components, links, role))
+        layers.append(Layer(alpha, role, tuple(components), tuple(links), ("eth", "fiber")))
     cross_layers = [
         CrossLayer.of(
             alpha,

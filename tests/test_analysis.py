@@ -201,6 +201,69 @@ def test_diameter_spanning_several_chunks_matches_brute_force(seed, size, shape)
     assert diameters_by_each_path(l) == [expected, expected]
 
 
+# Shapes whose fringe searches the centres' bounds decide: nodes of near-equal
+# eccentricity (rings with offset chords, tori, hypercubes, crown graphs, that
+# is K(k, k) minus a perfect matching, and complete graphs minus one link), and
+# random trees, whose few deep nodes are often sweep nodes. Each returns a node
+# count and its links as pairs of ints.
+def _offset_chord_ring(rng):
+    n = rng.randint(6, 90)
+    step = rng.randint(2, 5)
+    return n, [(i, (i + 1) % n) for i in range(n)] + [
+        (i, (i + n // 3) % n) for i in range(0, n, step)
+    ]
+
+
+def _torus(rng):
+    a, b = rng.randint(3, 9), rng.randint(3, 9)
+    return a * b, [
+        link
+        for i in range(a)
+        for j in range(b)
+        for link in ((i * b + j, i * b + (j + 1) % b), (i * b + j, (i + 1) % a * b + j))
+    ]
+
+
+def _hypercube(rng):
+    d = rng.randint(1, 7)
+    return 2**d, [(v, v ^ 1 << k) for v in range(2**d) for k in range(d) if v < v ^ 1 << k]
+
+
+def _crown(rng):
+    k = rng.randint(3, 12)
+    return 2 * k, [(i, k + j) for i in range(k) for j in range(k) if i != j]
+
+
+def _complete_minus_one(rng):
+    k = rng.randint(3, 14)
+    full = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    full.remove(rng.choice(full))
+    return k, full
+
+
+def _int_tree(rng):
+    n = rng.randint(2, 90)
+    return n, [(i, rng.randrange(i)) for i in range(1, n)]
+
+
+@pytest.mark.parametrize(
+    "shape", [_offset_chord_ring, _torus, _hypercube, _crown, _complete_minus_one, _int_tree]
+)
+def test_diameter_through_searched_centres_matches_brute_force(shape):
+    # Names are shuffled, so node ids, the sweeps' start and `u` land anywhere
+    # in each shape; the Python path certifies fringe nodes through the
+    # centres, and the compiled path searches them all.
+    rng = random.Random(2013)
+    for _ in range(60):
+        n, pairs = shape(rng)
+        names = [f"v{i:03d}" for i in range(n)]
+        rng.shuffle(names)
+        links = [(names[a], names[b]) for a, b in pairs]
+        expected = oracles.bf_diameter_of_largest(names, links)
+        l = layer(1, [comp(x) for x in names], links)
+        assert diameters_by_each_path(l) == [expected, expected], (shape.__name__, links)
+
+
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
 def test_articulation_point_removal_splits(seed):

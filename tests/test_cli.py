@@ -749,13 +749,10 @@ print(json.dumps({
 """
 
 
-def test_metrics_on_small_models_leaves_out_numeric_packages(tmp_path):
-    # Desk-shaped layers at the campaign's size (5 x 200 nodes): radius near
-    # the diameter, so the diameter searches about half of each layer.
-    campaign = tmp_path / "campaign.mln.json"
-    network = desk_model(num_layers=5, nodes_per_layer=200, chords_per_layer=80)
-    campaign.write_text(serialize_model(ModelDocument(FORMAT_VERSION, network)))
-    docs = [fx(name) for name in ALL_FIXTURES] + [str(campaign)]
+def _metrics_without_numeric_packages(docs):
+    """`_METRICS_CHILD`'s runs on `docs`, after checking that they load neither
+    numpy nor scipy, nor any other package, and come out the same when both are
+    blocked."""
     src = str(Path(netstrata.__file__).parents[1])
 
     def child(numeric):
@@ -772,5 +769,24 @@ def test_metrics_on_small_models_leaves_out_numeric_packages(tmp_path):
     assert free["loaded"] == []
     assert free["foreign"] == blocked["foreign"] == []
     assert [code for code, _, _ in free["runs"]] == [0] * 2 * len(docs)
-    assert "diameter 35" in free["runs"][-2][1]
     assert blocked["runs"] == free["runs"]
+    return free["runs"]
+
+
+def test_metrics_on_small_models_leaves_out_numeric_packages(tmp_path):
+    # Desk-shaped layers at the campaign's size (5 x 200 nodes): radius near
+    # the diameter, so iFUB's fringe is about half of each layer.
+    campaign = tmp_path / "campaign.mln.json"
+    network = desk_model(num_layers=5, nodes_per_layer=200, chords_per_layer=80)
+    campaign.write_text(serialize_model(ModelDocument(FORMAT_VERSION, network)))
+    runs = _metrics_without_numeric_packages([fx(name) for name in ALL_FIXTURES] + [str(campaign)])
+    assert "diameter 35" in runs[-2][1]
+
+
+def test_metrics_on_the_desk_document_leaves_out_numeric_packages(tmp_path):
+    # Each desk layer's fringe holds 997 nodes, and the nodes searched by the
+    # sweeps and from `u` bound every one of them, so none needs scipy.
+    desk = tmp_path / "desk.mln.json"
+    desk.write_text(serialize_model(ModelDocument(FORMAT_VERSION, desk_model())))
+    runs = _metrics_without_numeric_packages([str(desk)])
+    assert runs[0][1].count("diameter 335") == 5
