@@ -5,6 +5,7 @@ failure (articulation points and bridges)."""
 from __future__ import annotations
 
 from array import array
+from itertools import islice
 from typing import NamedTuple, Sequence
 
 from .graphutil import cut_points
@@ -15,8 +16,9 @@ _DIAMETER_CHUNK = 256
 # Work the fringe search may spend in Python before it hands the rest of the
 # fringe to scipy: BFS visits (the component's nodes plus twice its links per
 # search), plus one per node and per 64-bit word of each centre's `_far` table,
-# so the tables hold at most 8 MB. 10**6 visits take about 55 ms, an eighth of
-# importing numpy and scipy's csgraph (about 0.45 s).
+# so the tables hold at most 8 MB. A Python BFS takes 35-80 ns a visit (desk
+# layers, sparse random layers of 20,000 nodes), against about 0.45 s for
+# importing numpy and scipy's csgraph.
 _PYTHON_BFS_VISITS = 1_000_000
 
 
@@ -75,14 +77,26 @@ def _diameter(n: int, pairs: Sequence[tuple[int, int]], start: int) -> int:
     `best`. A fringe node v is searched only if some node y not yet searched
     has d(v, c) + d(c, y) > `best` for every centre c; otherwise no node is
     farther than `best` from v, and v is skipped. The test is one AND of `_far`
-    tables per centre. The search runs in Python until its next step would
-    spend more than `_PYTHON_BFS_VISITS`; then the rest of the fringe goes to
+    tables per centre, over the centres whose tables fit the budget. The
+    search runs in Python until its next step would spend more than
+    `_PYTHON_BFS_VISITS`; then the rest of the fringe goes to
     `_compiled_fringe_search`, which imports scipy."""
+    best, fringe, depth = _python_search(n, pairs, start)
+    # The Python search's adjacency lists, centres and tables are freed by now.
+    return _compiled_fringe_search(n, pairs, fringe, depth, best) if fringe else best
+
+
+def _python_search(
+    n: int, pairs: Sequence[tuple[int, int]], start: int
+) -> tuple[int, Sequence[int], Sequence[int]]:
+    """`_diameter`'s search in Python: the bound it reached, the fringe left
+    when its budget ran out (empty if it finished), and each node's depth in
+    `u`'s BFS tree."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for a, b in pairs:
         adj[a].append(b)
         adj[b].append(a)
-    # Per source: its BFS order and distances, as C int arrays of 8 bytes a node.
+    # Per source: its BFS order and distances, as two C int arrays (8 bytes a node).
     runs: dict[int, tuple[Sequence[int], Sequence[int]]] = {}
 
     def bfs(s: int) -> tuple[list[int], list[int], list[int]]:
@@ -116,25 +130,20 @@ def _diameter(n: int, pairs: Sequence[tuple[int, int]], start: int) -> int:
             break
         if v in runs:
             continue  # searched: its eccentricity is in `best`
-        if tables is not None and len(tables) < len(runs):
-            # A centre's table is made when a test first needs it, and costs a
-            # visit per node and per 64-bit word it holds. If the tables would
-            # pass the budget, none is kept, and the rest of the fringe is
-            # searched untested: in Python only if all of it fits the budget.
-            new = list(runs.values())[len(tables) :]
-            cost = sum(len(o) + dist[o[-1]] * words for o, dist in new)
+        # A centre's table is made when a test first needs it, while the
+        # tables fit the budget: each costs a visit per node and per 64-bit
+        # word it holds.
+        for o, dist in islice(runs.values(), len(tables), None):
+            cost = len(o) + dist[o[-1]] * words
             if spent + cost > _PYTHON_BFS_VISITS:
-                if spent + (len(fringe) - i) * visits > _PYTHON_BFS_VISITS:
-                    return _compiled_fringe_search(n, pairs, fringe[i:], depth, best)
-                tables = None
-            else:
-                spent += cost
-                tables += [(dist, _far(o, dist)) for o, dist in new]
+                break
+            spent += cost
+            tables.append((dist, _far(o, dist)))
         # The nodes other than v that are farther than `best` from v through
-        # every centre. A centre is not farther than t >= 0 from itself, so no
-        # searched node is left in `rest`.
+        # every tabled centre. A centre is not farther than t >= 0 from
+        # itself, so no tabled centre is left in `rest`.
         rest = ~(1 << v)
-        for dist, far in tables or ():
+        for dist, far in tables:
             t = best - dist[v]
             rest = rest & far[t] if t < len(far) else 0
             if not rest:
@@ -142,10 +151,10 @@ def _diameter(n: int, pairs: Sequence[tuple[int, int]], start: int) -> int:
         else:
             spent += visits
             if spent > _PYTHON_BFS_VISITS:
-                return _compiled_fringe_search(n, pairs, fringe[i:], depth, best)
+                return best, fringe[i:], depth
             o, _, dist = bfs(v)
             best = max(best, dist[o[-1]])
-    return best
+    return best, (), depth
 
 
 def _compiled_fringe_search(
