@@ -169,10 +169,17 @@ def _compiled_fringe_search(
     is a farthest one, and its depth is found by following the tree's
     predecessors back to the source, for a whole chunk of sources at once."""
     # Only layers the Python search cannot finish need scipy; importing it here
-    # keeps it out of the rest.
-    import numpy as np
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order
+    # keeps it out of the rest. A failed import names its package in one line:
+    # numpy words a failed load of its extensions over many, with no name.
+    package = "numpy"
+    try:
+        import numpy as np
+        package = "scipy"
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import breadth_first_order
+    except ImportError as exc:
+        message = f"cannot import {package}, which the diameter of a layer this large needs"
+        raise ImportError(message) from exc
 
     rows = [a for a, _ in pairs] + [b for _, b in pairs]
     cols = [b for _, b in pairs] + [a for a, _ in pairs]
@@ -199,7 +206,8 @@ def _compiled_fringe_search(
 def layer_metrics(layer: Layer) -> LayerMetrics:
     """Metrics of a layer as an undirected simple graph, read from
     `layer.graph`. When two components tie for largest, the one holding the
-    smallest name counts."""
+    smallest name counts. A diameter search that needs numpy or scipy and
+    cannot import it raises `ImportError`, in one line that names the package."""
     graph = layer.graph
     n, m = len(graph.incident), len(graph.links)
     degrees = list(map(len, graph.incident))

@@ -36,14 +36,19 @@ def _silence(stream: TextIO) -> None:
     os.close(devnull)
 
 
-def _usage_error(message: str) -> NoReturn:
-    """Print one `error:` line, if stderr can still be written, and exit 2. A
-    closed stderr is None, and `print` would write to stdout in its place."""
+def _error_line(message: str) -> None:
+    """Print one `error:` line, if stderr can still be written. A closed
+    stderr is None, and `print` would write to stdout in its place."""
     try:
         if sys.stderr is not None:
             print(f"error: {message}", file=sys.stderr, flush=True)
     except OSError:
         _silence(sys.stderr)
+
+
+def _usage_error(message: str) -> NoReturn:
+    """Print one `error:` line, if stderr can still be written, and exit 2."""
+    _error_line(message)
     sys.exit(2)
 
 
@@ -172,7 +177,10 @@ def metrics(args: argparse.Namespace) -> int:
         layers = [_layer(doc, args.layer)]
     else:
         layers = list(doc.network.layers)
-    bundle = {layer.index: analysis.layer_metrics(layer) for layer in layers}
+    try:
+        bundle = {layer.index: analysis.layer_metrics(layer) for layer in layers}
+    except ImportError as exc:  # the diameter's numpy and scipy fallback
+        _usage_error(exc.args[0])
     _write(model_io.emit_report(bundle, args.format))
     return 0
 
@@ -266,14 +274,23 @@ def main(argv: list[str] | None = None) -> NoReturn:
 def run() -> NoReturn:
     """`main` with the cyclic GC off, as a command makes no cycles that grow,
     then `os._exit` with the status Python would give its `SystemExit`: the
-    interpreter's teardown, `atexit` hooks included, is skipped. Any other
-    exception, an interrupt too, takes the interpreter's usual way out."""
+    interpreter's teardown, `atexit` hooks included, is skipped. Running out
+    of memory is exit 2 with one `error:` line, as an input too large for this
+    machine. Any other exception, an interrupt too, takes the interpreter's
+    usual way out."""
     gc.disable()
     try:
         main()
     except SystemExit as exc:
         status = exc.code
-    if status is None:
+    except MemoryError:
+        status = MemoryError
+    if status is MemoryError:
+        # Reported once the handler is left and the failed command's frames,
+        # with the memory they hold, are gone.
+        _error_line("out of memory")
+        status = 2
+    elif status is None:
         status = 0
     elif not isinstance(status, int):
         if sys.stderr is not None:  # closed: `print` would write to stdout instead

@@ -77,11 +77,13 @@ class Graph(_GraphFields):
         """Fail `v` in `labels` and `sizes`, copies of the baseline's, reading
         the split from the DFS table. Returns the nodes whose label changed, `v`
         first. Each split-off subtree takes a fresh label, numbered on from the
-        baseline's; the rest of `v`'s component keeps its label."""
+        baseline's; the rest of `v`'s component keeps its label, and so does
+        the first subtree of a DFS root, which has no rest."""
         dfs, moved = self.dfs, [v]
         old, labels[v] = labels[v], -1
         sizes[old] -= 1
-        for w in dfs.splits.get(v, ()):
+        splits = dfs.splits.get(v, [])
+        for w in splits[1:] if dfs.via[v] < 0 else splits:
             piece = dfs.order[dfs.disc[w] : dfs.end[w]]
             fresh = len(sizes)
             for x in piece:

@@ -554,9 +554,9 @@ def report_payload(report: Any) -> dict[str, Any]:
             "entries": [
                 {
                     "node": str(e.node),
-                    "functional_alive": e.result.functional_alive,
-                    "failed_count": e.result.total_failed,
-                    "round_count": len(e.result.rounds),
+                    "functional_alive": e.functional_alive,
+                    "failed_count": e.failed_count,
+                    "round_count": e.round_count,
                 }
                 for e in report
             ]

@@ -6,6 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 import pytest
 
 import netstrata
@@ -790,3 +795,101 @@ def test_metrics_on_the_desk_document_leaves_out_numeric_packages(tmp_path):
     desk.write_text(serialize_model(ModelDocument(FORMAT_VERSION, desk_model())))
     runs = _metrics_without_numeric_packages([str(desk)])
     assert runs[0][1].count("diameter 335") == 5
+
+
+def test_metrics_without_the_diameter_fallback_exits_2_naming_the_package(tmp_path):
+    # With no Python budget, the diameter of a desk-shaped layer goes to
+    # scipy's compiled BFS. Where numpy or scipy cannot be imported, `metrics`
+    # says which in one line, as for any input this machine cannot handle.
+    doc = tmp_path / "small.mln.json"
+    network = desk_model(num_layers=5, nodes_per_layer=200, chords_per_layer=80)
+    doc.write_text(serialize_model(ModelDocument(FORMAT_VERSION, network)))
+    child = (
+        "import sys\n"
+        "sys.modules[sys.argv[1]] = None\n"
+        "from netstrata import analysis, cli\n"
+        "analysis._PYTHON_BFS_VISITS = 0\n"
+        "sys.argv = ['netstrata', 'metrics', sys.argv[2]]\n"
+        "cli.run()\n"
+    )
+    src = str(Path(netstrata.__file__).parents[1])
+    for package in ("numpy", "scipy"):
+        out = subprocess.run(
+            [sys.executable, "-c", child, package, str(doc)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == (
+            f"error: cannot import {package}, which the diameter of a layer this large needs\n"
+        )
+
+
+def test_run_reports_running_out_of_memory_in_one_line_if_stderr_is_open():
+    code = "\n".join([
+        "from netstrata import cli",
+        "def main():",
+        "    raise MemoryError",
+        "cli.main = main",
+        "cli.run()",
+    ])
+    out = _run_with_closed(["-c", code], 0)
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", "error: out of memory\n")
+    out = _run_with_closed(["-c", code], 2)
+    assert (out.returncode, out.stdout) == (2, "")
+
+
+def _address_space_needed_to_start():
+    """The peak address space, in bytes, of a process that has imported the
+    CLI and the modules of `validate`, `simulate` and `metrics`."""
+    code = (
+        "import netstrata.cli, netstrata.consistency, netstrata.faults, netstrata.analysis\n"
+        "print(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmPeak:')))\n"
+    )
+    src = str(Path(netstrata.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return int(out.stdout) << 10
+
+
+@pytest.mark.skipif(
+    resource is None or not hasattr(resource, "RLIMIT_AS")
+    or not os.path.exists("/proc/self/status"),
+    reason="no address-space limit or no /proc on this platform",
+)
+def test_running_out_of_memory_is_exit_2_with_one_line(tmp_path):
+    # Each child caps its own address space, so nothing outside it changes.
+    # The low cap is what a process needs to start and import the commands'
+    # modules, plus 8 MB: enough to print the error line, too little to load
+    # the 3.3 MB desk document. Without this change each of these commands
+    # ended there in a `MemoryError` traceback and exit 1. A cap 300 MB higher
+    # lets every command finish, with the output it gives uncapped.
+    desk = tmp_path / "desk.mln.json"
+    desk.write_text(serialize_model(ModelDocument(FORMAT_VERSION, desk_model())))
+    start = _address_space_needed_to_start()
+    src = str(Path(netstrata.__file__).parents[1])
+
+    def capped(args, cap):
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        return subprocess.run(
+            [sys.executable, "-m", "netstrata.cli", *args],
+            env={**os.environ, "PYTHONPATH": src},
+            preexec_fn=limit,
+            capture_output=True,
+            text=True,
+        )
+
+    for command in (["validate"], ["simulate", "--exhaustive"], ["metrics"]):
+        args = [command[0], str(desk), *command[1:], "--format", "machine"]
+        out = capped(args, start + (8 << 20))
+        assert (out.returncode, out.stdout, out.stderr) == (2, "", "error: out of memory\n"), args
+        out = capped(args, start + (300 << 20))
+        assert (out.returncode, out.stdout, out.stderr) == tuple(run_cli(args)), args

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netstrata import faults
 from netstrata.consistency import validate
 from netstrata.faults import (
     FaultScenario,
@@ -204,34 +205,58 @@ def fragile_network(rng, depth=4, n=24):
     return build_network(layers, crosses, Mode.RELAXED)
 
 
+def _ranked(entries):
+    return sorted(entries, key=lambda e: (e[1], -e[2], e[0].local_name))
+
+
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=10, deadline=None)
 def test_exhaustive_ranking_matches_round_oracle(seed):
+    # Every field of every entry, and their order: node, functional_alive,
+    # failed count, round count.
     net = fragile_network(random.Random(seed))
-    expected = sorted(
-        (
-            (
-                cid(1, c.name),
-                oracles.oracle_cascade_rounds(
-                    net, FaultScenario.of([cid(1, c.name)], label=f"fail {c.name}")
-                ),
-            )
-            for c in net.layer(1).components
-        ),
-        key=lambda p: (p[1].functional_alive, -p[1].total_failed, p[0].local_name),
-    )
-    assert [(e.node, e.result) for e in exhaustive_single_faults(net)] == expected
+    expected = []
+    for c in net.layer(1).components:
+        r = oracles.oracle_cascade_rounds(net, FaultScenario.of([cid(1, c.name)]))
+        expected.append((cid(1, c.name), r.functional_alive, r.total_failed, len(r.rounds)))
+    assert exhaustive_single_faults(net) == _ranked(expected)
 
 
-@given(seed=st.integers(0, 10_000))
+@given(seed=st.integers(0, 10**6))
 @settings(max_examples=30, deadline=None)
-def test_campaign_round_count_is_the_cascade_round_count(seed):
-    net = random_network(random.Random(seed), max_nodes=16, consistent=False)
-    ranking = exhaustive_single_faults(net)
-    for entry, impact in zip(report_payload(ranking)["entries"], ranking, strict=True):
-        alone = run_cascade(net, FaultScenario.of([impact.node]))
-        assert entry["node"] == str(impact.node)
-        assert entry["round_count"] == len(alone.rounds)
+def test_campaign_entries_match_each_cascade(seed):
+    # The campaign runs its cascades in turn on one workspace, so a write one
+    # cascade left behind shows in a later entry.
+    rng = random.Random(seed)
+    for net in (random_network(rng, max_nodes=16, consistent=False), fragile_network(rng, n=12)):
+        ranking = exhaustive_single_faults(net)
+        expected = []
+        for c in net.layer(1).components:
+            r = run_cascade(net, FaultScenario.of([cid(1, c.name)]))
+            expected.append((cid(1, c.name), r.functional_alive, r.total_failed, len(r.rounds)))
+        assert ranking == _ranked(expected)
+        assert report_payload(ranking)["entries"] == [
+            {"node": str(n), "functional_alive": a, "failed_count": f, "round_count": r}
+            for n, a, f, r in _ranked(expected)
+        ]
+
+
+def _workspace_state(work):
+    return work.labels, work.sizes, work.inactive, work.trail
+
+
+@given(seed=st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_a_campaign_leaves_its_workspace_as_it_found_it(seed):
+    rng = random.Random(seed)
+    for net in (random_network(rng, max_nodes=16, consistent=False), fragile_network(rng)):
+        work = faults._Workspace(net)
+        fresh = _workspace_state(faults._Workspace(net))
+        with patch.object(faults, "_Workspace", return_value=work):
+            first = exhaustive_single_faults(net)
+            assert _workspace_state(work) == fresh
+            assert exhaustive_single_faults(net) == first
+            assert _workspace_state(work) == fresh
 
 
 @given(seed=st.integers(0, 20_000))
@@ -293,14 +318,14 @@ def test_exhaustive_ranking_dedicated_chain():
     assert len(ranking) == 1
     top = ranking[0]
     assert top.node == cid(1, "host")
-    assert not top.result.functional_alive
-    assert top.result.total_failed == 3
+    assert not top.functional_alive
+    assert top.failed_count == 3
 
 
 def test_exhaustive_ranking_dual_homed(dual_homed_network):
     ranking = exhaustive_single_faults(dual_homed_network)
     assert len(ranking) == 2
-    assert all(e.result.functional_alive for e in ranking)
+    assert all(e.functional_alive for e in ranking)
     # deterministic tie-break on node name
     assert [e.node.local_name for e in ranking] == ["p1", "p2"]
 
@@ -482,6 +507,20 @@ def test_split_search_cascades_match_round_oracle(case, seed):
     if scenario.failed_links or len(scenario.failed_nodes) > 1:
         target = net.layer(alpha).graph
         assert any(c.args[0] is target for c in spy.call_args_list)
+
+
+def test_removing_a_dfs_root_relabels_all_but_its_first_subtree():
+    # Node 0 is the DFS root and has no rest of its component, so its first
+    # subtree keeps the label: a root with one subtree moves no other node,
+    # and the cascade re-checks nothing above for it.
+    path = Graph.of(4, [(0, 1), (1, 2), (2, 3)])
+    labels, sizes = list(path.labels), dict(path.sizes)
+    assert path.without(labels, sizes, 0) == [0]
+    assert (labels, sizes) == ([-1, 0, 0, 0], {0: 3})
+    star = Graph.of(4, [(0, 1), (0, 2), (0, 3)])
+    labels, sizes = list(star.labels), dict(star.sizes)
+    assert star.without(labels, sizes, 0) == [0, 2, 3]
+    assert (labels, sizes) == ([-1, 0, 1, 2], {0: 1, 1: 1, 2: 1})
 
 
 def _assert_baselines_are_fresh(net):
