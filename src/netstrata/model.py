@@ -12,10 +12,11 @@ networks compare equal with `==`.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from operator import eq, itemgetter, lt
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .graphutil import Graph
 
@@ -307,66 +308,97 @@ def _by_id(pairs: Iterable[tuple[int, int]], first: list[str], second: list[str]
     return tuple(zip(firsts, map(second.__getitem__, map(_SECOND, pairs))))
 
 
-def _layer_fault(layer: Layer, path: str) -> None:
-    """Raise the first fault of the layer as given, in input order, its path
-    prefixed with `path`. This and `_cross_layer_fault` alone build a fault's
-    message and path, and run only once a whole-array pass has failed."""
-    at, declared, names = f"layer {layer.index}", frozenset(layer.protocols), set()
-    for j, (name, _, spec) in enumerate(layer.components):
-        where = f"{path}components[{j}]"
-        if not name:
-            raise ModelError(f"{at}: component name must be non-empty", f"{where}.name")
-        if "/" in name:
-            raise ModelError(f"{at}: component name {name!r} contains '/'", f"{where}.name")
-        if name in names:
-            raise ModelError(f"{at}: duplicate component name {name!r}", f"{where}.name")
-        names.add(name)
-        if not spec.protocols:
-            message = f"{at}: component {name!r} declares no protocols"
-            raise ModelError(message, f"{where}.protocols")
-        if not declared.issuperset(spec.protocols):
-            raise ModelError(
-                f"{at}: component {name!r} uses protocols {sorted(set(spec.protocols) - declared)}"
-                " missing from the layer protocol set", f"{where}.protocols",
-            )
-    for k, (a, b) in enumerate(layer.links):
-        if a == b:
-            raise ModelError(f"{at}: self-loop on {a!r}", f"{path}links[{k}]")
-        if a not in names or b not in names:
-            raise ModelError(
-                f"{at}: link ({a!r}, {b!r}) references unknown component "
-                f"{a if a not in names else b!r}", f"{path}links[{k}]",
-            )
+class Rule(NamedTuple):
+    """A structural rule as a row: `test` holds on the columns of an array no
+    element of which breaks the rule. `path`, after the element's own, and
+    `message`, formatted with the element's fields, make an element's error."""
+
+    test: Callable[[Any], bool]
+    path: str
+    message: str
+
+    def fault(self, element: Any, j: int, at: str, path: str, fields: Any = None) -> None:
+        message = self.message.format(*element, **(fields(element) if fields else {}))
+        raise ModelError(f"{at}: {message}", f"{path}[{j}]{self.path}")
+
+
+def check(rows: Sequence[Any], items: Sequence[Any], columns: Callable, *context: Any) -> Any:
+    """`columns(items)` if every row's `test` holds on it; else the lowest
+    element j at fault raises `row.fault(items[j], j, *context)` for the first
+    row it breaks. A row holds on each prefix of an array it holds on, so only
+    a rejected array is searched, by bisecting with the same tests."""
+    whole = columns(items)
+    row = next((row for row in rows if not row.test(whole)), None)
+    if row:
+        j = bisect_left(range(len(items)), True, key=lambda k: not row.test(columns(items[:k + 1])))
+        check(rows, items[:j], columns, *context)  # each row holds there, or one after `row` fails
+        row.fault(items[j], j, *context)
+    return whole
+
+
+def _components(declared: frozenset[str], components: Sequence[Component]) -> dict[str, Any]:
+    """The columns canonicalizing makes: the components sorted by name, their
+    names, each name's node id, its sorted position, and each distinct spec."""
+    components = tuple(sorted(components, key=_FIRST))
+    names = list(map(_FIRST, components))
+    ids = dict(zip(names, range(len(names))))
+    specs = set(map(itemgetter(2), components))
+    return dict(components=components, names=names, ids=ids, specs=specs, declared=declared)
+
+
+def _ends(first: dict[str, int], second: dict[str, int], pairs: Sequence[Link]) -> Callable:
+    """The columns of each prefix of `pairs`: the ends of its pairs as node
+    ids in `first` and `second`, None for an unknown name, and the pairs.
+    Each name is looked up once; a prefix's columns are slices."""
+    ups = list(map(first.get, map(_FIRST, pairs)))
+    ends = [ups, list(map(second.get, map(_SECOND, pairs))), pairs]
+    return lambda prefix: ends if prefix is pairs else [column[: len(prefix)] for column in ends]
+
+
+# Each array's rules, in the order one element is checked against them.
+_COMPONENT_RULES = (
+    Rule(lambda c: "" not in c["ids"], ".name", "component name must be non-empty"),
+    Rule(lambda c: "/" not in "".join(c["names"]), ".name", "component name {0!r} contains '/'"),
+    Rule(lambda c: len(c["ids"]) == len(c["names"]), ".name", "duplicate component name {0!r}"),
+    Rule(lambda c: all(s.protocols for s in c["specs"]), ".protocols",
+         "component {0!r} declares no protocols"),
+    Rule(lambda c: all(c["declared"].issuperset(s.protocols) for s in c["specs"]), ".protocols",
+         "component {0!r} uses protocols {missing} missing from the layer protocol set"),
+)
+_LINK_RULES = (
+    Rule(  # equal names have equal ids, but so have two unknown ones: None
+        lambda e: not any(map(eq, e[0], e[1])) or not any(a == b for a, b in e[2]), "",
+        "self-loop on {0!r}",
+    ),
+    Rule(lambda e: None not in e[0], "", "link ({0!r}, {1!r}) references unknown component {0!r}"),
+    Rule(lambda e: None not in e[1], "", "link ({0!r}, {1!r}) references unknown component {1!r}"),
+)
+_PROJECTION_RULES = (
+    Rule(lambda e: None not in e[0], "",
+         "projection ({0!r}, {1!r}) references unknown upper component {0!r}"),
+    Rule(lambda e: None not in e[1], "",
+         "projection ({0!r}, {1!r}) references unknown lower component {1!r}"),
+)
 
 
 def _check_layer(
     layer: Layer, path: str, mode: Mode, warnings: list[str]
 ) -> tuple[Layer, dict[str, int]]:
-    """Check one layer as given, each rule in one pass over a whole array, with
-    error paths under `path`. Return it canonicalized, with the map of each
-    name to its node id, its sorted position. The links come out of that map as
-    ids, and as the components' own name objects, so a model holds each name
-    once. Deduplicating keeps input order: sorted input sorts in linear time."""
+    """Check one layer as given, each rule a row tested over whole columns,
+    with error paths under `path`. Return it canonicalized, with the map of
+    each name to its node id, its sorted position. The links come out of that
+    map as ids, and as the components' own name objects, so a model holds each
+    name once. Deduplicating keeps input order: sorted input sorts in linear time."""
     at = f"layer {layer.index}"
     if not layer.components:
         raise ModelError(f"{at} has no components", f"{path}components")
-    declared, links = frozenset(layer.protocols), layer.links
-    components = tuple(sorted(layer.components, key=_FIRST))
-    names = list(map(_FIRST, components))
-    ids = dict(zip(names, range(len(names))))
-    specs = set(map(itemgetter(2), components))
-    ends = list(map(ids.get, map(_FIRST, links))), list(map(ids.get, map(_SECOND, links)))
-    if (
-        len(ids) < len(names)
-        or "" in ids
-        or "/" in "".join(names)
-        or not all(s.protocols and declared.issuperset(s.protocols) for s in specs)
-        or None in ends[0]
-        or None in ends[1]
-        or any(map(eq, *ends))
-    ):
-        _layer_fault(layer, path)
-        raise AssertionError(f"{at}: a whole-array pass failed where no element does")
+    declared = frozenset(layer.protocols)
+    columns = check(
+        _COMPONENT_RULES, layer.components, partial(_components, declared), at, f"{path}components",
+        lambda c: {"missing": sorted(set(c.protocols) - declared)},
+    )
+    components, names, ids = itemgetter("components", "names", "ids")(columns)
+    ends = check(_LINK_RULES, layer.links, _ends(ids, ids, layer.links), at, f"{path}links")[:2]
     if not all(map(lt, *ends)):  # some link is written larger name first
         ends = list(map(min, *ends)), list(map(max, *ends))
     id_links = tuple(sorted(dict.fromkeys(zip(*ends))))
@@ -374,7 +406,7 @@ def _check_layer(
         if mode is Mode.STRICT:
             raise ModelError(f"{at} has no links (strict mode)", f"{path}links")
         warnings.append(f"{at} has no links")
-    unused = declared.difference(*(s.protocols for s in specs))
+    unused = declared.difference(*(s.protocols for s in columns["specs"]))
     if unused:
         warnings.append(f"{at}: declared protocols {sorted(unused)} are supported by no component")
     canonical = Layer(
@@ -384,20 +416,6 @@ def _check_layer(
     return canonical, ids
 
 
-def _cross_layer_fault(
-    cross: CrossLayer, path: str, upper: dict[str, int], lower: dict[str, int]
-) -> None:
-    """Raise the first unknown endpoint of the cross-layer as given at `path`."""
-    for k, (up, low) in enumerate(cross.projections):
-        if up not in upper or low not in lower:
-            side, name = ("upper", up) if up not in upper else ("lower", low)
-            raise ModelError(
-                f"cross-layer {cross.upper_index}->{cross.upper_index - 1}: projection "
-                f"({up!r}, {low!r}) references unknown {side} component {name!r}",
-                f"{path}.projections[{k}]",
-            )
-
-
 def _check_cross_layer(
     cross: CrossLayer, path: str, upper: dict[str, int], lower: dict[str, int], mode: Mode,
     warnings: list[str],
@@ -405,16 +423,13 @@ def _check_cross_layer(
     """Check one cross-layer as given at `path` against the node id maps of
     its two layers, and return it canonicalized, with its projections as
     node ids."""
+    at = f"cross-layer {cross.upper_index}->{cross.upper_index - 1}"
     if not cross.projections:
-        at = f"cross-layer {cross.upper_index}->{cross.upper_index - 1}"
         if mode is Mode.STRICT:
             raise ModelError(f"{at} has no projections (strict mode)", f"{path}.projections")
         warnings.append(f"{at} has no projections")
-    ups = list(map(upper.get, map(_FIRST, cross.projections)))
-    lows = list(map(lower.get, map(_SECOND, cross.projections)))
-    if None in ups or None in lows:
-        _cross_layer_fault(cross, path, upper, lower)
-        raise AssertionError(f"{path}: a whole-array pass failed where no element does")
+    ends = _ends(upper, lower, cross.projections)
+    ups, lows, _ = check(_PROJECTION_RULES, cross.projections, ends, at, f"{path}.projections")
     pairs = sorted(dict.fromkeys(zip(ups, lows)))
     projections = _by_id(pairs, list(upper), list(lower))
     # An array fills far faster from a list than from an iterator.

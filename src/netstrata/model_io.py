@@ -3,10 +3,10 @@
 Models live in a single JSON document (extension .mln.json) with a closed
 schema; serialization is canonical, so structurally equal models produce
 byte-identical files. Parsing checks only the document's shape; structural
-rules are `build_network`'s. Both check each long array in a few whole-array
-passes, and go element by element only through an array that fails one, to
-find its first fault. Every rejection carries a position: line/column for
-malformed JSON, otherwise a JSON path to the offending element.
+rules are `build_network`'s. Both write each rule about an array once, as a
+row that `model.check` tests over the whole array, and bisects an array that
+fails it to find its first fault. Every rejection carries a position:
+line/column for malformed JSON, otherwise a JSON path to the offending element.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import gc
 import json
 import re
 from itertools import chain, repeat
-from operator import add, itemgetter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple
+from functools import partial
+from operator import add
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple
 
 from .model import (
     Component,
@@ -32,6 +33,7 @@ from .model import (
     SpecSet,
     build_network,
     canonical_link,
+    check,
 )
 
 # `faults` and `multiplex` are imported where they are used, and no report
@@ -43,6 +45,7 @@ FORMAT_VERSION = "1"
 REPORT_VERSION = "2"
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
+_WHAT = {str: "a string", int: "an integer", list: "an array", dict: "an object"}
 
 
 class ModelParseError(ValueError):
@@ -106,18 +109,18 @@ def _lone_surrogate(data: Any) -> str | None:
     return None
 
 
-def _expect(value: Any, typ: type, path: str, what: str) -> Any:
+def _expect(value: Any, typ: type, path: str, what: str = "") -> Any:
     if type(value) is not typ:  # exact type: rejects bool for int, _RepeatedKey
         if isinstance(value, _RepeatedKey):
             raise ModelParseError(f"duplicate field {value.key!r}", path)
-        raise ModelParseError(f"expected {what}, got {type(value).__name__}", path)
+        raise ModelParseError(f"expected {what or _WHAT[typ]}, got {type(value).__name__}", path)
     return value
 
 
 def _closed(
     obj: Mapping[str, Any], allowed: set[str], required: tuple[str, ...], path: str
 ) -> None:
-    _expect(obj, dict, path, "an object")
+    _expect(obj, dict, path)
     for key in obj:
         if key not in allowed:
             raise ModelParseError(f"unknown field {key!r}", path)
@@ -126,145 +129,123 @@ def _closed(
             raise ModelParseError(f"missing required field {key!r}", path)
 
 
-def _string_pair(value: Any, path: str = "") -> tuple[str, str]:
-    _expect(value, list, path, "a two-element array")
-    if len(value) != 2:
-        raise ModelParseError("expected a two-element array", path)
-    a, b = value
-    return _expect(a, str, f"{path}[0]", "a string"), _expect(b, str, f"{path}[1]", "a string")
-
-
-def _each(parse: Callable[..., Any], raw: list[Any], path: str, *args: Any) -> tuple:
-    """`parse(element, *args)` of each element of the array at `path`.
-    `parse` raises at a position relative to its element, which is made
-    absolute here: a document that parses builds no element path."""
-    parsed: list[Any] = []
-    try:
-        for value in raw:
-            parsed.append(parse(value, *args))
-    except ModelParseError as exc:
-        raise ModelParseError(exc.message, f"{path}[{len(parsed)}]{exc.position}") from None
-    return tuple(parsed)
-
-
 _COMPONENT_FIELDS = frozenset({"name", "kind", "protocols", "attributes"})
 _COMPONENT_REQUIRED = ("name", "kind", "protocols")
+_COMPONENT_KEYS = {frozenset(_COMPONENT_REQUIRED), _COMPONENT_FIELDS}
 _KINDS = {kind.value: kind for kind in ComponentKind}
 _NO_ATTRIBUTES: dict[str, str] = {}  # read, never written
+_columns = partial(dict.fromkeys, (None,))  # {None: items}: the array's columns, filled on use
 
 
-def _spec(
-    key: tuple, protocols: list[str], attributes: dict[str, str], specs: dict[Any, SpecSet]
-) -> SpecSet:
-    """The one `SpecSet` of this document for `key`, the raw form of
-    `protocols` and `attributes`: `specs` maps each raw form seen, and each
-    `SpecSet` made, to that one. Strings, then pairs: unambiguous, and unlike
-    `(protocols, attributes)` never equal to a `SpecSet`, a tuple of two
-    tuples, stored beside it."""
-    spec = specs.get(key)
-    if spec is None:
-        spec = SpecSet.of(protocols, attributes)
-        spec = specs[key] = specs.setdefault(spec, spec)
-    return spec
+class _Shape(NamedTuple):
+    """A shape rule as a row, over each element of an array or its `field`:
+    an exact type, or by name the component fields, a component kind, a
+    two-element array, or strings in a list or in an object."""
+
+    field: str | None
+    rule: Any
+
+    def test(self, columns: dict[Any, list[Any]]) -> bool:
+        if self.field not in columns:  # read each field of each element once
+            field, absent = repeat(self.field), repeat(_NO_ATTRIBUTES)
+            columns[self.field] = list(map(dict.get, columns[None], field, absent))
+        rule, values = self.rule, columns[self.field]
+        if rule == "fields":  # each distinct key tuple once
+            return {dict}.issuperset(map(type, values)) and _COMPONENT_KEYS.issuperset(
+                map(frozenset, set(map(tuple, values)))
+            )
+        if rule == "kind":
+            return _KINDS.keys() >= set(values)
+        if rule == "pair":
+            return {list}.issuperset(map(type, values)) and {2}.issuperset(map(len, values))
+        if rule == "values":
+            values = map(dict.values, values)
+        if rule in ("strings", "values"):
+            rule, values = str, chain.from_iterable(values)
+        return {rule}.issuperset(map(type, values))  # exact type: rejects bool, _RepeatedKey
+
+    def fault(self, element: Any, j: int, where: str) -> None:
+        value, path = element, where.format(j)
+        if self.field:
+            value, path = element.get(self.field, _NO_ATTRIBUTES), f"{path}.{self.field}"
+        if self.rule in _WHAT:
+            _expect(value, self.rule, path)
+        if self.rule == "fields":
+            _closed(value, _COMPONENT_FIELDS, _COMPONENT_REQUIRED, path)
+        if self.rule == "kind":
+            raise ModelParseError(f"unknown component kind {value!r}", path)
+        if self.rule == "pair":
+            _expect(value, list, path, "a two-element array")
+            raise ModelParseError("expected a two-element array", path)
+        for key, item in value.items() if self.rule == "values" else enumerate(value):
+            at = f"{path}.{key}" if self.rule == "values" else f"{path}[{key}]"
+            _expect(item, str, at)
 
 
-def _parse_component(obj: Any, specs: dict[Any, SpecSet]) -> Component:
-    """The component, raising at positions relative to it."""
-    _closed(obj, _COMPONENT_FIELDS, _COMPONENT_REQUIRED, "")
-    name = _expect(obj["name"], str, ".name", "a string")
-    kind_raw = _expect(obj["kind"], str, ".kind", "a string")
-    if kind_raw not in _KINDS:
-        raise ModelParseError(f"unknown component kind {kind_raw!r}", ".kind")
-    protocols = _expect(obj["protocols"], list, ".protocols", "an array")
-    for i, p in enumerate(protocols):
-        _expect(p, str, f".protocols[{i}]", "a string")
-    attributes = _expect(obj.get("attributes", {}), dict, ".attributes", "an object")
-    for k, v in attributes.items():
-        _expect(v, str, f".attributes.{k}", "a string")
-    key = (*protocols, *attributes.items())
-    return Component(name, _KINDS[kind_raw], _spec(key, protocols, attributes, specs))
+# Each array's rows, in the order one element is checked against them.
+_COMPONENT = (
+    _Shape(None, "fields"), _Shape("name", str), _Shape("kind", str), _Shape("kind", "kind"),
+    _Shape("protocols", list), _Shape("protocols", "strings"), _Shape("attributes", dict),
+    _Shape("attributes", "values"),
+)
+_PAIR = (_Shape(None, "pair"), _Shape(None, "strings"))
+_STRING = (_Shape(None, str),)
 
 
-def _components(raw: list[Any], specs: dict[Any, SpecSet]) -> tuple[Component, ...] | None:
-    """The components of `raw`, as `_parse_component` makes them, checked
-    in whole-array passes: exact types, each distinct key tuple, and each
-    field as one column. None if a pass fails: `_parse_component`, run on
-    each element, then finds the first fault."""
-    if not {dict}.issuperset(map(type, raw)):  # exact type: rejects _RepeatedKey
-        return None
-    for keys in set(map(tuple, raw)):
-        if not _COMPONENT_FIELDS.issuperset(keys) or not set(keys).issuperset(_COMPONENT_REQUIRED):
-            return None
-    names, kinds = list(map(itemgetter("name"), raw)), list(map(itemgetter("kind"), raw))
-    protocols = list(map(itemgetter("protocols"), raw))
-    attributes = list(map(dict.get, raw, repeat("attributes"), repeat(_NO_ATTRIBUTES)))
-    if not (
-        {str}.issuperset(map(type, names))
-        and {str}.issuperset(map(type, kinds))
-        and _KINDS.keys() >= set(kinds)
-        and {list}.issuperset(map(type, protocols))
-        and {str}.issuperset(map(type, chain.from_iterable(protocols)))
-        and {dict}.issuperset(map(type, attributes))
-        and {str}.issuperset(map(type, chain.from_iterable(map(dict.values, attributes))))
-    ):
-        return None
+def _components(raw: list[Any], where: str, specs: dict[Any, SpecSet]) -> tuple[Component, ...]:
+    """The components of `raw`, checked and read a field at a time, with
+    error paths `where.format(j)`. `specs` maps each raw form of a spec seen,
+    and each `SpecSet` made, to this document's one `SpecSet` for it. Strings,
+    then pairs: unambiguous, and unlike `(protocols, attributes)` never equal
+    to a `SpecSet`, a tuple of two tuples, stored beside it."""
+    fields = check(_COMPONENT, raw, _columns, where)
+    protocols, attributes = fields["protocols"], fields["attributes"]
     keys = list(map(tuple, protocols))
     if attributes.count(_NO_ATTRIBUTES) < len(attributes):  # not every one empty
         keys = list(map(add, keys, map(tuple, map(dict.items, attributes))))
     for key, i in dict(zip(keys, range(len(keys)))).items():
-        _spec(key, protocols[i], attributes[i], specs)
+        if specs.get(key) is None:
+            spec = SpecSet.of(protocols[i], attributes[i])
+            specs[key] = specs.setdefault(spec, spec)
     # `tuple.__new__` makes each component with no Python-level call.
-    fields = zip(names, map(_KINDS.__getitem__, kinds), map(specs.__getitem__, keys))
-    return tuple(map(tuple.__new__, repeat(Component), fields))
-
-
-def _pairs(raw: list[Any]) -> tuple[tuple[str, str], ...] | None:
-    """The string pairs of `raw`, checked in whole-array passes, or None if
-    a pass fails: `_string_pair` then finds the first fault."""
-    if (
-        {list}.issuperset(map(type, raw))
-        and {2}.issuperset(map(len, raw))
-        and {str}.issuperset(map(type, chain.from_iterable(raw)))
-    ):
-        return tuple(map(tuple, raw))
-    return None
+    kinds = map(_KINDS.__getitem__, fields["kind"])
+    made = zip(fields["name"], kinds, map(specs.__getitem__, keys))
+    return tuple(map(tuple.__new__, repeat(Component), made))
 
 
 def _parse_layer(obj: Any, index: int, path: str, specs: dict[Any, SpecSet]) -> Layer:
     """The layer as written; `build_network` checks and canonicalizes it."""
     _closed(obj, {"role", "protocols", "components", "links"}, ("role", "components"), path)
-    role_raw = _expect(obj["role"], str, f"{path}.role", "a string")
+    role_raw = _expect(obj["role"], str, f"{path}.role")
     try:
         role = LayerRole(role_raw)
     except ValueError:
         raise ModelParseError(f"unknown layer role {role_raw!r}", f"{path}.role")
-    comps_raw = _expect(obj["components"], list, f"{path}.components", "an array")
-    components = _components(comps_raw, specs) or _each(
-        _parse_component, comps_raw, f"{path}.components", specs
-    )
-    links_raw = _expect(obj.get("links", []), list, f"{path}.links", "an array")
-    links = _pairs(links_raw) or _each(_string_pair, links_raw, f"{path}.links")
+    comps_raw = _expect(obj["components"], list, f"{path}.components")
+    components = _components(comps_raw, f"{path}.components[{{}}]", specs)
+    links = _expect(obj.get("links", []), list, f"{path}.links")
+    check(_PAIR, links, _columns, f"{path}.links[{{}}]")
     if "protocols" in obj:
-        protocols = _expect(obj["protocols"], list, f"{path}.protocols", "an array")
-        for i, p in enumerate(protocols):
-            _expect(p, str, f"{path}.protocols[{i}]", "a string")
+        protocols = _expect(obj["protocols"], list, f"{path}.protocols")
+        check(_STRING, protocols, _columns, f"{path}.protocols[{{}}]")
     else:
         protocols = {p for c in components for p in c.protocols}
-    return Layer(index, role, components, links, tuple(protocols))
+    return Layer(index, role, components, tuple(map(tuple, links)), tuple(protocols))
 
 
 def _parse_cross_layer(obj: Any, path: str) -> CrossLayer:
     """The cross-layer as written; `build_network` checks and canonicalizes it."""
     _closed(obj, {"upper_index", "projections"}, ("upper_index", "projections"), path)
-    upper_index = _expect(obj["upper_index"], int, f"{path}.upper_index", "an integer")
-    raw = _expect(obj["projections"], list, f"{path}.projections", "an array")
-    return CrossLayer(upper_index, _pairs(raw) or _each(_string_pair, raw, f"{path}.projections"))
+    upper_index = _expect(obj["upper_index"], int, f"{path}.upper_index")
+    raw = _expect(obj["projections"], list, f"{path}.projections")
+    check(_PAIR, raw, _columns, f"{path}.projections[{{}}]")
+    return CrossLayer(upper_index, tuple(map(tuple, raw)))
 
 
 def _parse_node_ref(obj: Any, layers: tuple[Layer, ...], path: str) -> ComponentId:
     _closed(obj, {"layer", "name"}, ("layer", "name"), path)
-    layer = _expect(obj["layer"], int, f"{path}.layer", "an integer")
-    name = _expect(obj["name"], str, f"{path}.name", "a string")
+    layer = _expect(obj["layer"], int, f"{path}.layer")
+    name = _expect(obj["name"], str, f"{path}.name")
     if not 1 <= layer <= len(layers):
         raise ModelParseError(f"no layer {layer}", f"{path}.layer")
     if name not in layers[layer - 1].node_ids:
@@ -276,22 +257,21 @@ def _parse_node_ref(obj: Any, layers: tuple[Layer, ...], path: str) -> Component
 
 def _parse_scenario(obj: Any, layers: tuple[Layer, ...], path: str) -> FaultScenario:
     _closed(obj, {"label", "failed_nodes", "failed_links"}, ("label",), path)
-    label = _expect(obj["label"], str, f"{path}.label", "a string")
+    label = _expect(obj["label"], str, f"{path}.label")
     nodes = [
         _parse_node_ref(n, layers, f"{path}.failed_nodes[{i}]")
-        for i, n in enumerate(
-            _expect(obj.get("failed_nodes", []), list, f"{path}.failed_nodes", "an array")
-        )
+        for i, n in enumerate(_expect(obj.get("failed_nodes", []), list, f"{path}.failed_nodes"))
     ]
     links: list[tuple[int, tuple[str, str]]] = []
-    raw_links = _expect(obj.get("failed_links", []), list, f"{path}.failed_links", "an array")
+    raw_links = _expect(obj.get("failed_links", []), list, f"{path}.failed_links")
     for i, entry in enumerate(raw_links):
         lpath = f"{path}.failed_links[{i}]"
         _closed(entry, {"layer", "link"}, ("layer", "link"), lpath)
-        layer = _expect(entry["layer"], int, f"{lpath}.layer", "an integer")
+        layer = _expect(entry["layer"], int, f"{lpath}.layer")
         if not 1 <= layer <= len(layers):
             raise ModelParseError(f"no layer {layer}", f"{lpath}.layer")
-        a, b = _string_pair(entry["link"], f"{lpath}.link")
+        check(_PAIR, [entry["link"]], _columns, f"{lpath}.link")
+        a, b = entry["link"]
         if canonical_link(a, b) not in layers[layer - 1].link_ids:
             raise ModelParseError(
                 f"no link ({a!r}, {b!r}) on layer {layer}", f"{lpath}.link"
@@ -339,24 +319,24 @@ def _parse_document(text: str, mode: Mode | str | None) -> ModelDocument:
         ("format_version", "layers"),
         "$",
     )
-    version = _expect(data["format_version"], str, "$.format_version", "a string")
+    version = _expect(data["format_version"], str, "$.format_version")
     if version != FORMAT_VERSION:
         raise ModelParseError(
             f"unsupported format version {version!r} (expected {FORMAT_VERSION!r})",
             "$.format_version",
         )
-    mode_raw = _expect(data.get("mode", "strict"), str, "$.mode", "a string")
+    mode_raw = _expect(data.get("mode", "strict"), str, "$.mode")
     try:
         declared = Mode(mode_raw)
     except ValueError:
         raise ModelParseError(f"unknown mode {mode_raw!r}", "$.mode")
 
-    layers_raw = _expect(data["layers"], list, "$.layers", "an array")
+    layers_raw = _expect(data["layers"], list, "$.layers")
     specs: dict[Any, SpecSet] = {}
     layers = [
         _parse_layer(obj, i + 1, f"$.layers[{i}]", specs) for i, obj in enumerate(layers_raw)
     ]
-    cross_raw = _expect(data.get("cross_layers", []), list, "$.cross_layers", "an array")
+    cross_raw = _expect(data.get("cross_layers", []), list, "$.cross_layers")
     cross_layers = [
         _parse_cross_layer(obj, f"$.cross_layers[{i}]") for i, obj in enumerate(cross_raw)
     ]
@@ -365,7 +345,7 @@ def _parse_document(text: str, mode: Mode | str | None) -> ModelDocument:
     except ModelError as exc:
         raise ModelParseError(str(exc), f"$.{exc.path}")
 
-    scenarios_raw = _expect(data.get("scenarios", []), list, "$.scenarios", "an array")
+    scenarios_raw = _expect(data.get("scenarios", []), list, "$.scenarios")
     scenarios = []
     seen_labels: set[str] = set()
     for i, obj in enumerate(scenarios_raw):

@@ -112,6 +112,19 @@ def test_self_loop_rejected():
     assert_rejected(message, "links[0]", [comp("a"), comp("b")], [("a", "a")])
 
 
+@pytest.mark.parametrize(
+    "link, message",
+    [
+        (("ghost", "spook"), "layer 1: link ('ghost', 'spook') references unknown component 'ghost'"),
+        (("ghost", "ghost"), "layer 1: self-loop on 'ghost'"),
+    ],
+    ids=["two-unknown-ends", "self-loop-on-an-unknown-name"],
+)
+def test_a_link_with_two_unknown_ends(link, message):
+    # Both ends map to no node id, so the ids alone cannot tell a self-loop.
+    assert_rejected(message, "links[1]", [comp("a"), comp("b")], [("a", "b"), link])
+
+
 def test_empty_edge_set_strict_vs_relaxed():
     layers = [layer(1, [comp("lonely")])]
     with pytest.raises(ModelError, match=exactly("layer 1 has no links (strict mode)")) as exc:

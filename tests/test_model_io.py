@@ -16,7 +16,7 @@ from netstrata.model import ComponentId, Mode, SpecSet
 from netstrata.model_io import (
     ModelDocument,
     ModelParseError,
-    _parse_component,
+    _components,
     emit_report,
     export_dot,
     parse_model,
@@ -399,7 +399,7 @@ def test_spec_cache_keys_never_equal_a_spec_set(specs_raw):
     # side. A `SpecSet` is a tuple, so a raw key must never equal one.
     specs = _AskedKeys()
     for i, raw in enumerate(specs_raw):
-        _parse_component({"name": f"c{i}", "kind": "hardware", **raw}, specs)
+        _components([{"name": f"c{i}", "kind": "hardware", **raw}], "$", specs)
     assert all(type(s) is SpecSet for s in specs.values())
     assert not any(k == s for k in specs.asked for s in specs.values())
 
